@@ -55,6 +55,12 @@ _NODES_LO, _WEIGHTS_LO = leggauss(15)
 _NODES_HI, _WEIGHTS_HI = leggauss(31)
 
 
+def is_integer(value) -> bool:
+    """True for Python and NumPy integers; False for bool, which Python
+    counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProblemSize:
     """Instance (m, n): every one of n users must receive m packets."""
@@ -63,9 +69,9 @@ class ProblemSize:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
+        if not is_integer(self.m) or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not is_integer(self.n) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
 
 

@@ -1,6 +1,6 @@
 """Monte Carlo sampling of the delay and goodness-of-fit statistics.
 
-Replication i always draws from counter-based Philox streams keyed on
+Replication i always draws from one counter-based Philox stream keyed on
 (seed, i), so a batch is a pure function of its configuration: results are
 bit-identical no matter how replications are chunked across workers.  The
 env var COUPON_DELAY_THREADS caps the worker count (default 1).
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .limit_laws import Regime, normalization, target_cdf
-from .moments import ProblemSize
+from .moments import ProblemSize, is_integer
 
 __all__ = [
     "MODE_DISCRETE",
@@ -52,10 +52,12 @@ class SimConfig:
     mode: str
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        if not is_integer(self.reps) or self.reps < 1:
+            raise ValueError(f"reps must be an integer >= 1, got {self.reps!r}")
+        if not is_integer(self.seed) or not 0 <= int(self.seed) < 2**64:
+            raise ValueError(
+                f"seed must be a 64-bit unsigned integer, got {self.seed!r}"
+            )
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
@@ -88,8 +90,8 @@ def _worker_count() -> int:
         raise ValueError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
-def _rep_rng(seed: int, rep: int, lane: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(rep, lane))
+def _rep_rng(seed: int, rep: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(rep, 0))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -109,93 +111,60 @@ def _run_reps(worker, reps: int) -> list:
     return [item for part in parts for item in part]
 
 
-def _initial_block(m: int, n: int) -> int:
-    # Covers the typical delay with slack in every regime; doubling below
-    # picks up the stragglers.
-    return int(
-        m * n
-        + n * math.log(n + 1)
-        + (m - 1) * n * math.log(math.log(n + 2) + 1.0)
-        + 4.0 * n * math.sqrt(m)
-        + 8.0 * n
-        + 64
+def _sample(config: SimConfig, mode: str) -> SampleBatch:
+    """The one generator behind every mode; the mode picks the columns kept.
+
+    Unit-rate stream j completes its m-th arrival at G_j ~ Gamma(m, 1), so
+    all streams are done at x = max G_j and Delta = n x.  By the strong
+    Markov property stream j adds Poisson(x - G_j) further arrivals by time
+    x, independent of every G, so D = m n + Poisson(sum_j (x - G_j)) and the
+    pair (D, Delta) has the exact coupled law.  Each replication costs O(n)
+    time and memory.
+    """
+    if config.mode != mode:
+        raise ValueError(f"sample_{mode} requires mode={mode!r}")
+    m, n = config.ps.m, config.ps.n
+    keep_d, keep_delta = mode != MODE_POISSONIZED, mode != MODE_DISCRETE
+
+    def worker(rep: int) -> tuple[int, float]:
+        rng = _rep_rng(config.seed, rep)
+        g = rng.standard_gamma(m, size=n)
+        x = g.max()
+        # Poissonized batches never draw the Poisson term, so their stream
+        # and values match a pure max-of-gammas sampler.
+        d = m * n + int(rng.poisson((x - g).sum())) if keep_d else 0
+        return d, float(n * x)
+
+    d, delta = zip(*_run_reps(worker, config.reps))
+    return SampleBatch(
+        config=config,
+        d_values=np.array(d, dtype=np.int64) if keep_d else None,
+        delta_values=np.array(delta, dtype=np.float64) if keep_delta else None,
     )
-
-
-def _draw_delay(rng: np.random.Generator, m: int, n: int) -> int:
-    """One replication of the discrete process: uniform labels from {0..n-1}
-    until every label has appeared m times; returns the trial count."""
-    if n == 1:
-        return m
-    chunks = []
-    counts = np.zeros(n, dtype=np.int64)
-    goal = _initial_block(m, n)
-    drawn = 0
-    while True:
-        block = max(256, goal - drawn)
-        labels = rng.integers(0, n, size=block)
-        chunks.append(labels)
-        counts += np.bincount(labels, minlength=n)
-        drawn += block
-        if counts.min() >= m:
-            break
-        goal = 2 * drawn
-    labels = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    order = np.argsort(labels, kind="stable")
-    firsts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=n))[:-1]))
-    mth_occurrence = order[firsts + (m - 1)]
-    return int(mth_occurrence.max()) + 1
 
 
 def sample_discrete(config: SimConfig) -> SampleBatch:
     """Replicated draws of the trial count D; D >= m*n surely."""
-    if config.mode != MODE_DISCRETE:
-        raise ValueError("sample_discrete requires mode='discrete'")
-    m, n = config.ps.m, config.ps.n
-
-    def worker(rep: int) -> int:
-        return _draw_delay(_rep_rng(config.seed, rep, 0), m, n)
-
-    d = np.array(_run_reps(worker, config.reps), dtype=np.int64)
-    return SampleBatch(config=config, d_values=d)
+    return _sample(config, MODE_DISCRETE)
 
 
 def sample_poissonized(config: SimConfig) -> SampleBatch:
-    """Replicated draws of Delta: the largest of n Erlang(m, rate 1/n)
-    variables, i.e. n times the largest of n Gamma(m, 1) draws.
+    """Replicated draws of Delta alone: n times the largest of n Gamma(m, 1)
+    completion times, i.e. the largest of n Erlang(m, rate 1/n) variables.
 
-    Cost per replication is n gamma variates regardless of m (the gamma
-    sampler is the O(1) squeeze-accept method for shapes >= 1).
+    The Poisson draw for D is skipped, so each replication costs n gamma
+    variates regardless of m (the gamma sampler is the O(1) squeeze-accept
+    method for shapes >= 1).
     """
-    if config.mode != MODE_POISSONIZED:
-        raise ValueError("sample_poissonized requires mode='poissonized'")
-    m, n = config.ps.m, config.ps.n
-
-    def worker(rep: int) -> float:
-        rng = _rep_rng(config.seed, rep, 0)
-        return float(n * rng.standard_gamma(m, size=n).max())
-
-    delta = np.array(_run_reps(worker, config.reps), dtype=np.float64)
-    return SampleBatch(config=config, delta_values=delta)
+    return _sample(config, MODE_POISSONIZED)
 
 
 def sample_coupled(config: SimConfig) -> SampleBatch:
-    """Replicated coupled pairs (D, Delta): the discrete process yields D,
-    then Delta is one Gamma(D, 1) draw (the sum of D unit exponentials,
-    independent of D), taken from a separate per-replication stream."""
-    if config.mode != MODE_COUPLED:
-        raise ValueError("sample_coupled requires mode='coupled'")
-    m, n = config.ps.m, config.ps.n
-
-    def worker(rep: int) -> tuple[int, float]:
-        d = _draw_delay(_rep_rng(config.seed, rep, 0), m, n)
-        delta = float(_rep_rng(config.seed, rep, 1).standard_gamma(d))
-        return d, delta
-
-    pairs = _run_reps(worker, config.reps)
-    d = np.array([p[0] for p in pairs], dtype=np.int64)
-    delta = np.array([p[1] for p in pairs], dtype=np.float64)
-    return SampleBatch(config=config, d_values=d, delta_values=delta)
+    """Replicated coupled pairs (D, Delta) from one draw of the n gamma
+    completion times: Delta is n times their maximum, and D adds the
+    Poisson overshoot of every stream up to that maximum.  Given D, Delta
+    is Gamma(D, 1), the sum of D unit exponentials independent of D."""
+    return _sample(config, MODE_COUPLED)
 
 
 def ks_statistic(sorted_values: np.ndarray, cdf_values: np.ndarray) -> float:

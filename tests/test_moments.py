@@ -33,6 +33,10 @@ class TestProblemSize:
             ProblemSize(2, 0)
         with pytest.raises(ValueError):
             ProblemSize(1.5, 3)
+        for m, n in [(True, 3), (2, True), (True, True)]:
+            with pytest.raises(ValueError):
+                ProblemSize(m, n)
+        assert ProblemSize(np.int64(2), np.uint32(3)).n == 3
 
 
 class TestQuadratureConfig:

@@ -22,6 +22,13 @@ from coupon_delay.simulate import (
 from coupon_delay.special import gumbel_cdf
 
 
+_SAMPLERS = {
+    MODE_DISCRETE: sample_discrete,
+    MODE_POISSONIZED: sample_poissonized,
+    MODE_COUPLED: sample_coupled,
+}
+
+
 def _config(m, n, reps, seed, mode):
     return SimConfig(ps=ProblemSize(m, n), reps=reps, seed=seed, mode=mode)
 
@@ -34,6 +41,12 @@ class TestSimConfig:
             _config(1, 1, 5, -1, MODE_DISCRETE)
         with pytest.raises(ValueError):
             _config(1, 1, 5, 0, "bogus")
+        # truncating a float seed would silently reuse another seed's draws
+        for reps, seed in [(5, 3.7), (5, True), (2.5, 0), (True, 0), (5, "7")]:
+            with pytest.raises(ValueError):
+                _config(1, 1, reps, seed, MODE_DISCRETE)
+        cfg = _config(1, 1, np.int64(5), np.uint64(2**64 - 1), MODE_DISCRETE)
+        assert cfg.reps == 5
 
     def test_mode_mismatch_is_rejected(self):
         cfg = _config(1, 2, 5, 0, MODE_DISCRETE)
@@ -65,8 +78,8 @@ class TestDiscreteSampler:
             assert batch.d_values.min() >= m * n
 
     def test_block_extension_path(self):
-        # tiny instances force the doubling branch often enough; just
-        # confirm agreement with the exact mean
+        # smallest instance with a random overshoot: D - m n is 0 or 1 in
+        # 5/8 of replications; the mean must match the exact value 11/2
         reps = 30000
         batch = sample_discrete(_config(2, 2, reps, 11, MODE_DISCRETE))
         d = batch.d_values.astype(float)
@@ -131,14 +144,15 @@ class TestDeterminism:
         assert np.array_equal(a.d_values, b.d_values)
         assert np.array_equal(a.delta_values, b.delta_values)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        cfg = _config(3, 6, 257, 77, MODE_COUPLED)
+    @pytest.mark.parametrize("mode", [MODE_DISCRETE, MODE_POISSONIZED, MODE_COUPLED])
+    def test_thread_count_does_not_change_results(self, monkeypatch, mode):
+        cfg = _config(3, 6, 257, 77, mode)
         monkeypatch.setenv("COUPON_DELAY_THREADS", "1")
-        a = sample_coupled(cfg)
+        a = _SAMPLERS[mode](cfg)
         monkeypatch.setenv("COUPON_DELAY_THREADS", "6")
-        b = sample_coupled(cfg)
-        assert np.array_equal(a.d_values, b.d_values)
-        assert np.array_equal(a.delta_values, b.delta_values)
+        b = _SAMPLERS[mode](cfg)
+        for x, y in [(a.d_values, b.d_values), (a.delta_values, b.delta_values)]:
+            assert (x is None and y is None) or np.array_equal(x, y)
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("COUPON_DELAY_THREADS", "many")
@@ -180,10 +194,13 @@ class TestKS:
 
 
 class TestSmallInstanceLaw:
-    def test_total_variation_against_exact_pmf(self):
+    @pytest.mark.parametrize(
+        "mode,m,n", [(MODE_DISCRETE, 2, 2), (MODE_COUPLED, 2, 3), (MODE_DISCRETE, 3, 4)]
+    )
+    def test_total_variation_against_exact_pmf(self, mode, m, n):
         reps = 100000
-        batch = sample_discrete(_config(2, 2, reps, 23, MODE_DISCRETE))
-        dist = exact_dist_small(ProblemSize(2, 2))
+        batch = _SAMPLERS[mode](_config(m, n, reps, 23, mode))
+        dist = exact_dist_small(ProblemSize(m, n))
         counts = np.bincount(batch.d_values, minlength=int(dist.support[-1]) + 1)
         empirical = counts / reps
         exact = np.zeros_like(empirical)
@@ -194,6 +211,15 @@ class TestSmallInstanceLaw:
             - np.pad(exact, (0, width - len(exact)))
         ).sum()
         assert tv <= 0.01
+
+    def test_large_instance_mean(self):
+        # (30000, 1000): a label-by-label sampler would need 3e7 draws per
+        # replication; the mean of D still has to match quadrature
+        reps = 400
+        batch = sample_discrete(_config(30000, 1000, reps, 29, MODE_DISCRETE))
+        d = batch.d_values.astype(float)
+        se = d.std(ddof=1) / math.sqrt(reps)
+        assert abs(d.mean() - mean_delay(ProblemSize(30000, 1000)).value) <= 4 * se
 
 
 class TestEmpiricalMoments:
