@@ -40,6 +40,7 @@ from .moments import (
     mean_delay,
     mgf_delta,
     rising_moment,
+    rising_moments,
     variance_delay,
 )
 from .simulate import (

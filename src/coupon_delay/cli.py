@@ -36,7 +36,7 @@ from .moments import (
     ProblemSize,
     QuadratureConfig,
     asymptotic_moment,
-    rising_moment,
+    rising_moments,
 )
 from .simulate import (
     MODE_COUPLED,
@@ -102,8 +102,7 @@ def cmd_moments(args) -> int:
     orders = _parse_orders(args.orders)
     regime = Critical(beta=args.beta) if args.beta is not None else Supercritical()
     rows = []
-    for r in orders:
-        result = rising_moment(ps, r, cfg)
+    for r, result in zip(orders, rising_moments(ps, orders, cfg)):
         predicted = asymptotic_moment(ps, regime, r)
         rows.append(
             [

@@ -15,18 +15,19 @@ capped label counts, and exposes the leading-order asymptotic predictors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .alpha import solve_alpha
 from .errors import NumericError, QuadratureError
 from .limit_laws import Critical, FixedM, FixedN, Regime, Supercritical
-from .special import erlang_log_sf
+from .special import erlang_log_sf, is_integer
 
 __all__ = [
     "ProblemSize",
@@ -35,6 +36,7 @@ __all__ = [
     "ExactDistribution",
     "delta_power_moment",
     "rising_moment",
+    "rising_moments",
     "mean_delay",
     "variance_delay",
     "mgf_delta",
@@ -51,14 +53,15 @@ METHOD_ASYMPTOTIC = "asymptotic"
 _STATE_SPACE_LIMIT = 1_000_000
 _FRONT_LOG_LEVEL = math.log(45.0)  # n*sf >= 45 keeps F^n below 3e-20
 
-_NODES_LO, _WEIGHTS_LO = leggauss(15)
-_NODES_HI, _WEIGHTS_HI = leggauss(31)
 
+@functools.cache
+def _gauss_rules():
+    """The 15- and 31-point Gauss-Legendre rules as (nodes, weights) pairs,
+    built on first use so that importing the package skips
+    numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
 
-def is_integer(value) -> bool:
-    """True for Python and NumPy integers; False for bool, which Python
-    counts as an int."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return leggauss(15), leggauss(31)
 
 
 @dataclass(frozen=True)
@@ -101,11 +104,40 @@ class MomentResult:
 # quadrature core
 
 
-def _one_minus_power_cdf(m: int, n: int, taus: np.ndarray) -> np.ndarray:
-    """1 - F_m(tau)^n, evaluated as -expm1(n log1p(-exp(log_sf)))."""
-    log_sf = np.array([erlang_log_sf(m, float(t)) for t in taus])
-    with np.errstate(divide="ignore"):
-        return -np.expm1(n * np.log1p(-np.exp(log_sf)))
+class _Integrand:
+    """1 - F_m(tau)^n for one (m, n, cfg), shared by every order integrated
+    from it.
+
+    Every moment integrates the same function against a different weight,
+    so the [x_front, x_tail] window is found once, on first use, and each
+    Erlang log-survival value is kept, keyed by its float abscissa, for as
+    long as the object lives.  Orders share panels, and the 15- and
+    31-point rules share their midpoint node, so most later evaluations are
+    lookups.  Values are unchanged: the same scalar kernel fills the table.
+    """
+
+    def __init__(self, ps: ProblemSize, cfg: QuadratureConfig):
+        self.ps = ps
+        self.cfg = cfg
+        self._window: Optional[tuple[float, float]] = None
+        self._log_sf: dict[float, float] = {}
+
+    def window(self) -> tuple[float, float]:
+        if self._window is None:
+            self._window = _tail_window(self.ps, self.cfg)
+        return self._window
+
+    def log_sf(self, tau: float) -> float:
+        value = self._log_sf.get(tau)
+        if value is None:
+            value = self._log_sf[tau] = erlang_log_sf(self.ps.m, tau)
+        return value
+
+    def __call__(self, taus: np.ndarray) -> np.ndarray:
+        """1 - F_m(tau)^n, evaluated as -expm1(n log1p(-exp(log_sf)))."""
+        log_sf = np.array([self.log_sf(float(t)) for t in taus])
+        with np.errstate(divide="ignore"):
+            return -np.expm1(self.ps.n * np.log1p(-np.exp(log_sf)))
 
 
 def _sf_crossing(m: int, level: float, keep_above: bool) -> float:
@@ -143,11 +175,13 @@ def _adaptive_gauss(f, lo: float, hi: float, rel_tol: float, max_panels: int):
     so it does not depend on the refinement history.
     """
 
+    (nodes_lo, weights_lo), (nodes_hi, weights_hi) = _gauss_rules()
+
     def measure(a: float, b: float):
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        coarse = half * float(np.dot(_WEIGHTS_LO, f(mid + half * _NODES_LO)))
-        fine = half * float(np.dot(_WEIGHTS_HI, f(mid + half * _NODES_HI)))
+        coarse = half * float(np.dot(weights_lo, f(mid + half * nodes_lo)))
+        fine = half * float(np.dot(weights_hi, f(mid + half * nodes_hi)))
         return (a, b, fine, abs(fine - coarse))
 
     edges = np.linspace(lo, hi, 9)
@@ -183,7 +217,11 @@ def _tail_window(ps: ProblemSize, cfg: QuadratureConfig) -> tuple[float, float]:
 
 
 def delta_power_moment(
-    ps: ProblemSize, s: float, cfg: Optional[QuadratureConfig] = None
+    ps: ProblemSize,
+    s: float,
+    cfg: Optional[QuadratureConfig] = None,
+    *,
+    integrand: Optional[_Integrand] = None,
 ) -> MomentResult:
     """E[Delta^s] = s n^s Int_0^inf [1 - F_m(t)^n] t^{s-1} dt, s > 0.
 
@@ -191,32 +229,42 @@ def delta_power_moment(
     near O(1); left of the window the integrand is 1 up to < 3e-20 and is
     integrated in closed form, right of it the discarded tail is below the
     configured threshold.  For s < 1 the substitution v = xi^s removes the
-    endpoint singularity before the panels see it.
+    endpoint singularity before the panels see it.  ``integrand``, built
+    for the same ps and cfg, lets several exponents share one window and
+    one table of values (see ``rising_moments``); without it the call
+    builds its own.
     """
-    if not (isinstance(s, (int, float)) and math.isfinite(s) and s > 0):
-        raise ValueError(f"moment exponent must be positive, got {s!r}")
+    if not (
+        isinstance(s, numbers.Real)
+        and not isinstance(s, bool)
+        and math.isfinite(s)
+        and s > 0
+    ):
+        raise ValueError(f"moment exponent must be a positive real, got {s!r}")
     cfg = cfg or QuadratureConfig()
+    if integrand is None:
+        integrand = _Integrand(ps, cfg)
     s = float(s)
     m, n = ps.m, ps.n
-    x_front, x_tail = _tail_window(ps, cfg)
+    x_front, x_tail = integrand.window()
     u_front, u_tail = x_front / m, x_tail / m
 
     front = u_front**s / s
     front_err = front * 3e-20
     if s >= 1.0:
-        f = lambda xi: _one_minus_power_cdf(m, n, m * xi) * xi ** (s - 1.0)
+        f = lambda xi: integrand(m * xi) * xi ** (s - 1.0)
         quad, quad_err = _adaptive_gauss(
             f, u_front, u_tail, cfg.rel_tol, cfg.max_subdivisions
         )
     else:
         inv_s = 1.0 / s
-        f = lambda v: _one_minus_power_cdf(m, n, m * v**inv_s) * inv_s
+        f = lambda v: integrand(m * v**inv_s) * inv_s
         quad, quad_err = _adaptive_gauss(
             f, u_front**s, u_tail**s, cfg.rel_tol, cfg.max_subdivisions
         )
     # Beyond x_tail, 1 - F^n <= n*sf decays superexponentially; one unit of
     # xi at the cutoff level bounds the discarded mass generously.
-    tail_err = math.exp(math.log(n) + erlang_log_sf(m, x_tail)) * max(
+    tail_err = math.exp(math.log(n) + integrand.log_sf(x_tail)) * max(
         1.0, u_tail ** (s - 1.0)
     )
     prefactor = s * float(n * m) ** s
@@ -227,13 +275,36 @@ def delta_power_moment(
     )
 
 
+def _check_order(r) -> int:
+    if not is_integer(r) or r < 1:
+        raise ValueError(f"rising-moment order must be an integer >= 1, got {r!r}")
+    return int(r)
+
+
+def rising_moments(
+    ps: ProblemSize, orders, cfg: Optional[QuadratureConfig] = None
+) -> list[MomentResult]:
+    """E[D (D+1) ... (D+r-1)] = E[Delta^r] for each r in ``orders``, in the
+    order given.
+
+    Every order integrates the same 1 - F_m(t)^n against its own weight
+    t^{r-1}, so all of them share one window and one table of its values;
+    each order after the first costs little more than its lookups.  Results
+    equal those of separate ``rising_moment`` calls exactly.
+    """
+    orders = [_check_order(r) for r in orders]
+    cfg = cfg or QuadratureConfig()
+    integrand = _Integrand(ps, cfg)
+    return [
+        delta_power_moment(ps, float(r), cfg, integrand=integrand) for r in orders
+    ]
+
+
 def rising_moment(
     ps: ProblemSize, r: int, cfg: Optional[QuadratureConfig] = None
 ) -> MomentResult:
     """E[D (D+1) ... (D+r-1)], equal to E[Delta^r]."""
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError(f"rising-moment order must be an integer >= 1, got {r!r}")
-    return delta_power_moment(ps, float(r), cfg)
+    return rising_moments(ps, [r], cfg)[0]
 
 
 def mean_delay(ps: ProblemSize, cfg: Optional[QuadratureConfig] = None) -> MomentResult:
@@ -250,8 +321,7 @@ def variance_delay(
     delay's.  Cancellation is reflected in abs_err; a result negative
     beyond the error budget raises NumericError.
     """
-    second = delta_power_moment(ps, 2.0, cfg)
-    first = delta_power_moment(ps, 1.0, cfg)
+    first, second = rising_moments(ps, [1, 2], cfg)
     value = second.value - first.value**2 - first.value
     abs_err = second.abs_err + (2.0 * first.value + 1.0) * first.abs_err
     if value < -(4.0 * abs_err + 1e-12 * second.value):
@@ -274,7 +344,8 @@ def mgf_delta(
         raise ValueError(f"mgf argument must satisfy z < 1/n = {1.0 / n}, got {z}")
     z = float(z)
     rate = n * z
-    x_front, x_base = _tail_window(ps, cfg)
+    integrand = _Integrand(ps, cfg)
+    x_front, x_base = integrand.window()
 
     # Tail cutoff where ln(n) + log_sf + n z t drops below the threshold;
     # the combined exponent is unimodal, so doubling plus bisection finds
@@ -315,7 +386,7 @@ def mgf_delta(
 
     def f(xi: np.ndarray) -> np.ndarray:
         taus = m * xi
-        g = _one_minus_power_cdf(m, n, taus)
+        g = integrand(taus)
         with np.errstate(divide="ignore"):
             return np.exp(rate * taus + np.log(g))
 
@@ -451,8 +522,7 @@ def asymptotic_moment(ps: ProblemSize, regime: Regime, r: int) -> float:
     Supercritical and fixed-n regimes predict (n m)^r; the critical regime
     inflates per-coupon cost by alpha/beta, giving (alpha/beta * n m)^r.
     """
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError(f"order must be an integer >= 1, got {r!r}")
+    r = _check_order(r)
     if isinstance(regime, (Supercritical, FixedN)):
         return float(ps.n * ps.m) ** r
     if isinstance(regime, Critical):
@@ -467,7 +537,7 @@ def asymptotic_moment(ps: ProblemSize, regime: Regime, r: int) -> float:
 
 def asymptotic_mean_fixed_m(m: int, n: int) -> float:
     """n ln n + (m-1) n ln ln n + n (gamma - ln((m-1)!)), fixed-m mean growth."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if not is_integer(m) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if n <= math.e:
         raise ValueError("fixed-m expansion needs n > e so ln(ln(n)) is defined")

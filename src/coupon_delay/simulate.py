@@ -11,14 +11,14 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .limit_laws import Regime, normalization, target_cdf
-from .moments import ProblemSize, is_integer
+from .moments import ProblemSize
+from .special import is_integer
 
 __all__ = [
     "MODE_DISCRETE",
@@ -100,6 +100,9 @@ def _run_reps(worker, reps: int) -> list:
     threads = _worker_count()
     if threads == 1 or reps < 2 * threads:
         return [worker(rep) for rep in range(reps)]
+    # Imported here: single-threaded runs, the default, never need it.
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = np.linspace(0, reps, threads + 1, dtype=int)
     ranges = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 

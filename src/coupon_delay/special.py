@@ -28,8 +28,14 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def is_integer(value) -> bool:
+    """True for Python and NumPy integers; False for bool, which Python
+    counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_shape(m) -> int:
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if not is_integer(m) or m < 1:
         raise ValueError(f"Erlang shape must be an integer >= 1, got {m!r}")
     return int(m)
 

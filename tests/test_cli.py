@@ -79,6 +79,14 @@ class TestMomentsCommand:
         ratio = float(lines[1].split(",")[7])
         assert 0.8 <= ratio <= 1.1
 
+    def test_rows_follow_the_given_order(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", "--m", "2", "--n", "3", "--orders", "3,1,2")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["3", "1", "2"]
+        values = [float(row[3]) for row in rows]
+        assert values[1] < values[2] < values[0]
+
     def test_bad_orders(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--m", "1", "--n", "2", "--orders", "x")
         assert code == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coupon_delay import moments
 from coupon_delay.errors import NumericError
 from coupon_delay.limit_laws import Critical, FixedM, FixedN, Supercritical
 from coupon_delay.moments import (
@@ -16,6 +17,7 @@ from coupon_delay.moments import (
     mean_delay,
     mgf_delta,
     rising_moment,
+    rising_moments,
     variance_delay,
 )
 
@@ -88,6 +90,14 @@ class TestDeltaPowerMoment:
             delta_power_moment(ProblemSize(1, 2), 0.0)
         with pytest.raises(ValueError):
             delta_power_moment(ProblemSize(1, 2), -1.0)
+        with pytest.raises(ValueError):
+            delta_power_moment(ProblemSize(1, 2), True)
+
+    def test_accepts_numpy_reals(self):
+        ps = ProblemSize(2, 3)
+        expect = delta_power_moment(ps, 2.0)
+        assert delta_power_moment(ps, np.int64(2)) == expect
+        assert delta_power_moment(ps, np.float64(2.0)) == expect
 
     def test_method_tag(self):
         assert mean_delay(ProblemSize(1, 2)).method == "quadrature"
@@ -117,8 +127,53 @@ class TestRisingMoment:
             assert value >= (m * n) ** r * (1.0 - 1e-12)
 
     def test_rejects_fractional_order(self):
-        with pytest.raises(ValueError):
-            rising_moment(ProblemSize(1, 2), 1.5)
+        for r in (1.5, True):
+            with pytest.raises(ValueError):
+                rising_moment(ProblemSize(1, 2), r)
+
+
+class TestRisingMoments:
+    @pytest.mark.parametrize(
+        "m, n, orders",
+        [
+            (1, 10**6, [1, 2]),
+            (5, 1000, [1, 2, 3]),
+            (10**6, 10, [1, 2, 3]),
+            (2, 3, [3, 1, 2, 1]),
+        ],
+    )
+    def test_equals_separate_orders_exactly(self, m, n, orders):
+        ps = ProblemSize(m, n)
+        shared = rising_moments(ps, orders)
+        separate = [rising_moment(ps, r) for r in orders]
+        assert [(x.value, x.abs_err) for x in shared] == [
+            (x.value, x.abs_err) for x in separate
+        ]
+
+    def test_shares_kernel_evaluations(self, monkeypatch):
+        calls = 0
+        kernel = moments.erlang_log_sf
+
+        def counted(m, x):
+            nonlocal calls
+            calls += 1
+            return kernel(m, x)
+
+        monkeypatch.setattr(moments, "erlang_log_sf", counted)
+        ps = ProblemSize(5, 1000)
+        for r in (1, 2, 3):
+            rising_moment(ps, r)
+        separate, calls = calls, 0
+        rising_moments(ps, [1, 2, 3])
+        assert calls <= 0.4 * separate
+
+    def test_validates_every_order(self):
+        ps = ProblemSize(1, 2)
+        for orders in ([1, 0], [1, 1.5], [True], [2, np.int64(-1)]):
+            with pytest.raises(ValueError):
+                rising_moments(ps, orders)
+        assert rising_moments(ps, [np.int64(1)]) == [rising_moment(ps, 1)]
+        assert rising_moments(ps, []) == []
 
 
 class TestMeanDelay:
@@ -247,6 +302,13 @@ class TestAsymptotics:
     def test_fixed_m_domain(self):
         with pytest.raises(ValueError):
             asymptotic_mean_fixed_m(2, 2)  # n <= e
+        with pytest.raises(ValueError):
+            asymptotic_mean_fixed_m(True, 100)
+
+    def test_order_validation(self):
+        for r in (0, 1.5, True):
+            with pytest.raises(ValueError):
+                asymptotic_moment(ProblemSize(2, 3), Supercritical(), r)
 
     def test_supercritical_mean_ratio_decreases_toward_one(self):
         ratios = []

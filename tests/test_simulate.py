@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupon_delay.limit_laws import FixedM, FixedN
 from coupon_delay.moments import ProblemSize, exact_dist_small, mean_delay
@@ -109,6 +111,15 @@ class TestPoissonizedSampler:
         x = batch.delta_values
         se = x.std(ddof=1) / math.sqrt(reps)
         assert abs(x.mean() - mean_delay(ProblemSize(1, 2)).value) <= 3 * se
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(m=st.integers(min_value=1, max_value=50), n=st.integers(min_value=1, max_value=200))
+    def test_mean_agrees_with_quadrature(self, m, n):
+        reps = 4000
+        batch = sample_poissonized(_config(m, n, reps, 1000 * m + n, MODE_POISSONIZED))
+        x = batch.delta_values
+        se = x.std(ddof=1) / math.sqrt(reps)
+        assert abs(x.mean() - mean_delay(ProblemSize(m, n)).value) <= 5 * se
 
 
 class TestCoupledSampler:

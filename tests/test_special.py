@@ -53,6 +53,12 @@ class TestErlangLogSf:
     def test_zero_is_zero(self):
         assert erlang_log_sf(17, 0.0) == 0.0
 
+    def test_shape_validation(self):
+        for m in (0, 2.0, True):
+            with pytest.raises(ValueError):
+                erlang_log_sf(m, 1.0)
+        assert erlang_log_sf(np.int64(2), 1.0) == erlang_log_sf(2, 1.0)
+
     def test_extreme_arguments_stay_finite(self):
         for m, x in [(10**6, 1e7), (10**6, 10**6 + 1001.0), (10**5, 3.0), (3, 1e7)]:
             value = erlang_log_sf(m, x)
