@@ -194,8 +194,7 @@ def target_cdf(target: Target, y):
     elif isinstance(target, GumbelWithLogShift):
         out = _gumbel_arr(y_arr - target.shift)
     elif isinstance(target, MaxOfNormals):
-        phi = np.array([normal_cdf(v) for v in np.atleast_1d(y_arr)])
-        out = (phi**target.n).reshape(y_arr.shape)
+        out = (normal_cdf(np.atleast_1d(y_arr)) ** target.n).reshape(y_arr.shape)
     else:
         raise TypeError(f"unknown target {target!r}")
     return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out

@@ -113,7 +113,10 @@ class _Integrand:
     Erlang log-survival value is kept, keyed by its float abscissa, for as
     long as the object lives.  Orders share panels, and the 15- and
     31-point rules share their midpoint node, so most later evaluations are
-    lookups.  Values are unchanged: the same scalar kernel fills the table.
+    lookups.  A call fills all of its missing abscissas -- a whole Gauss
+    panel, both rules -- with one array call of ``erlang_log_sf``, whose
+    elements do not depend on each other, so a value is the same whichever
+    call computed it.
     """
 
     def __init__(self, ps: ProblemSize, cfg: QuadratureConfig):
@@ -127,61 +130,66 @@ class _Integrand:
             self._window = _tail_window(self.ps, self.cfg)
         return self._window
 
-    def log_sf(self, tau: float) -> float:
-        value = self._log_sf.get(tau)
-        if value is None:
-            value = self._log_sf[tau] = erlang_log_sf(self.ps.m, tau)
-        return value
+    def log_sf(self, taus: np.ndarray) -> np.ndarray:
+        """erlang_log_sf(m, taus), through the table."""
+        table = self._log_sf
+        keys = taus.tolist()
+        missing = list(dict.fromkeys(t for t in keys if t not in table))
+        if missing:
+            values = erlang_log_sf(self.ps.m, np.array(missing))
+            table.update(zip(missing, values.tolist()))
+        return np.array([table[t] for t in keys])
 
     def __call__(self, taus: np.ndarray) -> np.ndarray:
         """1 - F_m(tau)^n, evaluated as -expm1(n log1p(-exp(log_sf)))."""
-        log_sf = np.array([self.log_sf(float(t)) for t in taus])
         with np.errstate(divide="ignore"):
-            return -np.expm1(self.ps.n * np.log1p(-np.exp(log_sf)))
+            return -np.expm1(self.ps.n * np.log1p(-np.exp(self.log_sf(taus))))
 
 
-def _sf_crossing(m: int, level: float, keep_above: bool) -> float:
-    """Locate the decreasing crossing erlang_log_sf(m, x) = level.
+def _crossing(
+    g, level: float, x: float, x_limit: float, failure: str
+) -> tuple[float, float]:
+    """Bracket [lo, hi] of the point where g, decreasing from x on, falls
+    to ``level``: g(lo) > level >= g(hi), hi - lo <= 1e-9 hi.
 
-    Doubles x to bracket, then bisects.  With ``keep_above`` the returned
-    point still satisfies log_sf >= level (bracket's low end); otherwise it
-    satisfies log_sf <= level (high end).
+    Doubles x until g(x) <= level, raising NumericError(failure) once x
+    passes x_limit, then bisects; one evaluation of g per step.
     """
-    if level >= 0.0:
-        return 0.0
-    x = float(max(m, 1))
-    while erlang_log_sf(m, x) > level:
+    while g(x) > level:
         x *= 2.0
-        if x > 1e18:  # pragma: no cover
-            raise NumericError("tail cutoff search diverged")
+        if x > x_limit:
+            raise NumericError(failure)
     lo, hi = x / 2.0, x
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if erlang_log_sf(m, mid) > level:
+        if g(mid) > level:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-9 * hi:
             break
-    return lo if keep_above else hi
+    return lo, hi
 
 
 def _adaptive_gauss(f, lo: float, hi: float, rel_tol: float, max_panels: int):
     """Adaptive panel integration of f over [lo, hi].
 
-    Each panel is scored with a 15/31-point Gauss pair; the worst panel is
-    bisected until the summed pair differences fall below rel_tol times the
-    running total.  The final value is accumulated in panel-position order
-    so it does not depend on the refinement history.
+    Each panel is scored with a 15/31-point Gauss pair, evaluated by one
+    call of f; the worst panel is bisected until the summed pair
+    differences fall below rel_tol times the running total.  The final
+    value is accumulated in panel-position order so it does not depend on
+    the refinement history.
     """
 
     (nodes_lo, weights_lo), (nodes_hi, weights_hi) = _gauss_rules()
+    nodes = np.concatenate([nodes_lo, nodes_hi])
+    split = len(nodes_lo)
 
     def measure(a: float, b: float):
         half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        coarse = half * float(np.dot(weights_lo, f(mid + half * nodes_lo)))
-        fine = half * float(np.dot(weights_hi, f(mid + half * nodes_hi)))
+        values = f(0.5 * (a + b) + half * nodes)
+        coarse = half * float(np.dot(weights_lo, values[:split]))
+        fine = half * float(np.dot(weights_hi, values[split:]))
         return (a, b, fine, abs(fine - coarse))
 
     edges = np.linspace(lo, hi, 9)
@@ -211,9 +219,16 @@ def _tail_window(ps: ProblemSize, cfg: QuadratureConfig) -> tuple[float, float]:
     threshold = cfg.tail_log_threshold
     if threshold is None:
         threshold = math.log(1e-16) - log_n
-    x_tail = _sf_crossing(ps.m, threshold, keep_above=False)
-    x_front = _sf_crossing(ps.m, _FRONT_LOG_LEVEL - log_n, keep_above=True)
-    return x_front, x_tail
+    m = ps.m
+
+    def crossing(level: float) -> tuple[float, float]:
+        g = lambda x: erlang_log_sf(m, x)
+        return _crossing(g, level, float(m), 1e18, "tail cutoff search diverged")
+
+    # The front keeps log_sf >= its level, the tail log_sf <= its own.
+    front_level = _FRONT_LOG_LEVEL - log_n
+    x_front = crossing(front_level)[0] if front_level < 0.0 else 0.0
+    return x_front, crossing(threshold)[1]
 
 
 def delta_power_moment(
@@ -264,7 +279,7 @@ def delta_power_moment(
         )
     # Beyond x_tail, 1 - F^n <= n*sf decays superexponentially; one unit of
     # xi at the cutoff level bounds the discarded mass generously.
-    tail_err = math.exp(math.log(n) + integrand.log_sf(x_tail)) * max(
+    tail_err = math.exp(math.log(n) + integrand.log_sf(np.array([x_tail]))[0]) * max(
         1.0, u_tail ** (s - 1.0)
     )
     prefactor = s * float(n * m) ** s
@@ -359,25 +374,17 @@ def mgf_delta(
     def combined(x: float) -> float:
         return math.log(n) + erlang_log_sf(m, x) + rate * x
 
-    x_tail = max(x_base, float(m))
-    doublings = 0
-    while combined(x_tail) > target:
-        x_tail *= 2.0
-        doublings += 1
-        if doublings > 200 or rate * x_tail > 680.0:
-            raise NumericError(
-                f"mgf tail cutoff unreachable for z={z} (z too close to 1/n)"
-            )
-    lo, hi = x_tail / 2.0, x_tail
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if combined(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * hi:
-            break
-    x_tail = hi
+    x_start = max(x_base, float(m))
+    x_limit = x_start * 2.0**200  # 200 doublings
+    if rate > 0.0:
+        x_limit = min(x_limit, 680.0 / rate)
+    x_tail = _crossing(
+        combined,
+        target,
+        x_start,
+        x_limit,
+        f"mgf tail cutoff unreachable for z={z} (z too close to 1/n)",
+    )[1]
 
     if x_front > 0.0:
         front = x_front if z == 0.0 else math.expm1(rate * x_front) / rate

@@ -210,3 +210,16 @@ class TestTargetCdf:
 
     def test_max_of_normals(self):
         assert target_cdf(MaxOfNormals(3), 0.0) == pytest.approx(0.125, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    def test_max_of_normals_equals_the_scalar_loop(self, n):
+        ys = np.concatenate(
+            [np.linspace(-40.0, 40.0, 801), [-np.inf, np.inf, 0.0, -8.5, 1e-300]]
+        )
+        loop = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in ys]) ** n
+        got = target_cdf(MaxOfNormals(n), ys)
+        assert np.array_equal(got, loop)
+        grid = target_cdf(MaxOfNormals(n), ys[:800].reshape(20, 40))
+        assert np.array_equal(grid, loop[:800].reshape(20, 40))
+        for i in (0, 333, 800, 801, 805):
+            assert target_cdf(MaxOfNormals(n), float(ys[i])) == loop[i]

@@ -151,21 +151,38 @@ class TestRisingMoments:
         ]
 
     def test_shares_kernel_evaluations(self, monkeypatch):
-        calls = 0
+        # Counts abscissas, not calls: one call evaluates a whole panel.
+        points = 0
         kernel = moments.erlang_log_sf
 
         def counted(m, x):
-            nonlocal calls
-            calls += 1
+            nonlocal points
+            points += np.size(x)
             return kernel(m, x)
 
         monkeypatch.setattr(moments, "erlang_log_sf", counted)
         ps = ProblemSize(5, 1000)
         for r in (1, 2, 3):
             rising_moment(ps, r)
-        separate, calls = calls, 0
+        separate, points = points, 0
         rising_moments(ps, [1, 2, 3])
-        assert calls <= 0.4 * separate
+        assert points <= 0.4 * separate
+
+    @pytest.mark.parametrize("m, n", [(10**5, 100), (3 * 10**4, 10**3), (2000, 10**5)])
+    def test_large_shape_mean_against_mpmath(self, m, n):
+        # An independent oracle: n (x_front + Int 1 - (1 - Q(m, x))^n dx)
+        # over the same window, with mpmath's incomplete gamma at 30 digits.
+        mp = pytest.importorskip("mpmath")
+        ps = ProblemSize(m, n)
+        got = rising_moments(ps, [1])[0]
+        x_front, x_tail = moments._tail_window(ps, QuadratureConfig())
+        with mp.workdps(30):
+            inside = mp.quad(
+                lambda x: 1 - (1 - mp.gammainc(m, x, mp.inf, regularized=True)) ** n,
+                mp.linspace(x_front, x_tail, 9),
+            )
+            want = float(n * (x_front + inside))
+        assert abs(got.value - want) <= got.abs_err + 1e-15 * abs(got.value)
 
     def test_validates_every_order(self):
         ps = ProblemSize(1, 2)
@@ -174,6 +191,26 @@ class TestRisingMoments:
                 rising_moments(ps, orders)
         assert rising_moments(ps, [np.int64(1)]) == [rising_moment(ps, 1)]
         assert rising_moments(ps, []) == []
+
+
+class TestCrossing:
+    def test_brackets_the_crossing(self):
+        evaluations = []
+
+        def g(x):
+            evaluations.append(x)
+            return -x * x
+
+        lo, hi = moments._crossing(g, -10.0, 1.0, 1e18, "unused")
+        assert -lo * lo > -10.0 >= -hi * hi
+        assert hi - lo <= 1e-9 * hi
+        # 2 doublings, then one evaluation per bisection step
+        assert evaluations[:3] == [1.0, 2.0, 4.0]
+        assert len(evaluations) <= 3 + 32
+
+    def test_gives_up_past_the_limit(self):
+        with pytest.raises(NumericError, match="search diverged"):
+            moments._crossing(lambda x: 0.0, -1.0, 1.0, 1e3, "search diverged")
 
 
 class TestMeanDelay:

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coupon_delay import special
 from coupon_delay.special import (
     berry_esseen_gap,
     erlang_cdf,
@@ -89,6 +91,66 @@ class TestErlangLogSf:
             ) / (2 * h)
             exact = -math.exp((m - 1) * math.log(x) - x - math.lgamma(m))
             assert fd == pytest.approx(exact, rel=1e-5)
+
+    @pytest.mark.parametrize("m", [1, 3, 41, 10**6])
+    def test_nan_raises(self, m):
+        with pytest.raises(ValueError, match="NaN"):
+            erlang_log_sf(m, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            erlang_log_sf(m, np.array([1.0, math.nan, 2.0]))
+
+    @pytest.mark.parametrize("m", [1, 3, 41, 10**6])
+    def test_infinity_maps_to_minus_infinity(self, m):
+        assert erlang_log_sf(m, math.inf) == -math.inf
+        got = erlang_log_sf(m, np.array([[math.inf, 0.5 * m], [0.0, math.inf]]))
+        assert got.shape == (2, 2)
+        assert got[0, 0] == got[1, 1] == -math.inf
+        assert got[0, 1] == erlang_log_sf(m, 0.5 * m)
+        assert got[1, 0] == 0.0
+
+    @pytest.mark.parametrize("m", [1, 3, 41, 10**6])
+    def test_negative_raises(self, m):
+        with pytest.raises(ValueError, match="nonnegative"):
+            erlang_log_sf(m, -1e-300)
+        with pytest.raises(ValueError, match="nonnegative"):
+            erlang_log_sf(m, np.array([1.0, -2.0]))
+
+    def test_array_form(self):
+        xs = np.array([[0.0, 1.0, 4.0], [9.0, 30.0, 1e7]])
+        got = erlang_log_sf(3, xs)
+        assert got.shape == xs.shape and got.dtype == np.float64
+        assert type(erlang_log_sf(3, 4.0)) is float
+        assert type(erlang_log_sf(3, np.float64(4.0))) is float
+        assert erlang_log_sf(3, [1.0, 4.0]).tolist() == [got[0, 1], got[0, 2]]
+        assert erlang_log_sf(3, np.array([])).shape == (0,)
+        assert xs[0, 0] == 0.0  # the caller's array is not written to
+
+    @pytest.mark.parametrize("m", [1, 2, 40, 41, 1000, 10**6])
+    def test_elements_are_computed_independently(self, m):
+        # Each value is bit-identical as a scalar, alone in an array and at
+        # every position of larger arrays, in every branch of the kernel.
+        rng = np.random.default_rng(m)
+        xs = np.concatenate(
+            [
+                m * np.array([1e-3, 0.5, 1.0, 2.0, 3.0]),
+                m * rng.uniform(0.3, 2.5, 40),
+                m + np.sqrt(m) * rng.normal(0.0, 3.0, 40),
+                10.0 ** rng.uniform(-3, 7, 40),
+            ]
+        )
+        xs = np.abs(xs)
+        scalars = np.array([erlang_log_sf(m, float(x)) for x in xs])
+        alone = np.array([erlang_log_sf(m, np.array([x]))[0] for x in xs])
+        assert np.array_equal(scalars, alone)
+        assert np.array_equal(erlang_log_sf(m, xs), scalars)
+        for size in (2, 7, 16, 45):
+            for start in range(0, len(xs) - size, 11):
+                window = xs[start : start + size]
+                assert np.array_equal(
+                    erlang_log_sf(m, window), scalars[start : start + size]
+                )
+        order = rng.permutation(len(xs))
+        assert np.array_equal(erlang_log_sf(m, xs[order]), scalars[order])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -186,3 +248,118 @@ class TestGumbelCdf:
 
     def test_median(self):
         assert gumbel_cdf(-math.log(math.log(2.0))) == pytest.approx(0.5, rel=1e-14)
+
+
+@pytest.fixture(scope="module")
+def mp():
+    return pytest.importorskip("mpmath")
+
+
+def _reference_log_sf(mp, m, x):
+    """ln Q(m, x) from mpmath's regularized incomplete gamma; below the
+    mode as log1p(-P), so that tiny values keep their relative accuracy."""
+    m, x = mp.mpf(m), mp.mpf(x)
+    if x <= m:
+        return mp.log1p(-mp.gammainc(m, 0, x, regularized=True))
+    return mp.log(mp.gammainc(m, x, mp.inf, regularized=True))
+
+
+def _accuracy_grid(mp, m):
+    """x from 1e-3 m to 1e7 on a log grid, +-40 standard deviations around
+    the mode, and both sides of every switch between kernel branches."""
+    xs = set(np.geomspace(1e-3 * m, 1e7, 120).tolist())
+    xs.update((m + t * math.sqrt(m) for t in np.linspace(-40.0, 40.0, 81)))
+    switches = [m] if m <= special._FINITE_SUM_MAX_SHAPE else [
+        m * edge for edge in special._TEMME_BAND
+    ]
+    phi_band = special._TEMME_BAND[1] - 1.0 - math.log(special._TEMME_BAND[1])
+    w2 = special._ERFC_ASYMPTOTIC_FROM**2
+    if m * phi_band > w2:  # where Temme's erfc switches to its asymptotic form
+        switches.append(
+            float(mp.findroot(lambda x: x - m - m * mp.log(x / m) - w2, 1.5 * m))
+        )
+    for x in switches:
+        xs.update((np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)))
+    return np.array(sorted(x for x in xs if 0.0 < x <= 1e7))
+
+
+class TestErlangLogSfAccuracy:
+    @pytest.mark.parametrize(
+        "m", [1, 2, 3, 30, 39, 40, 41, 42, 100, 10**3, 10**4, 10**5, 10**6]
+    )
+    def test_relative_error_against_mpmath(self, mp, m):
+        # The shapes include both sides of the finite-sum / Temme switch
+        # (40, 41); the grid covers both tails and every switch in x.
+        with mp.workdps(50):
+            xs = _accuracy_grid(mp, m)
+            got = erlang_log_sf(m, xs)
+            worst = 0.0
+            for x, value in zip(xs.tolist(), got.tolist()):
+                want = _reference_log_sf(mp, m, x)
+                if abs(want) < sys.float_info.min:
+                    assert abs(value) < 1e-300  # below the normal range: may be 0
+                    continue
+                worst = max(worst, float(abs((value - want) / want)))
+        assert worst <= 1e-12, worst
+
+
+def _temme_coefficients(mp, rows, cols):
+    """d[k][n] of Temme's c_k(eta) = sum_n d[k][n] eta^n, from DLMF 8.12.12:
+
+        d[0][0] = -1/3,  d[0][n] = (n + 2) alpha[n + 2],
+        d[k][n] = (-1)^k g[k] d[0][n] + (n + 2) d[k-1][n + 2],
+
+    where lam - 1 = sum_n alpha[n] eta^n inverts eta^2/2 = lam - 1 - ln lam
+    and g[k] are the coefficients of Stirling's series Gamma*(a) = sum
+    g[k] a^-k.  Power series are carried at the working precision of mp.
+    """
+    size = cols + 2 * rows + 2
+
+    def mul(a, b):
+        return [mp.fsum(a[i] * b[k - i] for i in range(k + 1)) for k in range(size)]
+
+    # eta / mu = sqrt(2 (mu - log1p(mu)) / mu^2) = sqrt(sum_j 2 (-mu)^j / (j + 2))
+    inner = [2 * mp.mpf(-1) ** j / (j + 2) for j in range(size)]
+    ratio = [mp.mpf(1)] + [mp.mpf(0)] * (size - 1)
+    for k in range(1, size):
+        square = mp.fsum(ratio[i] * ratio[k - i] for i in range(1, k))
+        ratio[k] = (inner[k] - square) / 2
+    # Lagrange inversion: alpha[k] = [mu^(k-1)] (mu / eta)^k / k
+    inverse = [1 / ratio[0]] + [mp.mpf(0)] * (size - 1)
+    for k in range(1, size):
+        inverse[k] = -mp.fsum(ratio[i] * inverse[k - i] for i in range(1, k + 1))
+    alpha = [mp.mpf(0)] * size
+    power = [mp.mpf(1)] + [mp.mpf(0)] * (size - 1)
+    for k in range(1, size):
+        power = mul(power, inverse)
+        alpha[k] = power[k - 1] / k
+    # ln Gamma*(a) = sum_j B_2j / (2j (2j - 1) a^(2j - 1)), exponentiated
+    log_g = [mp.mpf(0)] * rows
+    for j in range(1, rows):
+        if 2 * j - 1 < rows:
+            log_g[2 * j - 1] = mp.bernoulli(2 * j) / (2 * j * (2 * j - 1))
+    g = [mp.mpf(1)] + [mp.mpf(0)] * (rows - 1)
+    for k in range(1, rows):
+        g[k] = mp.fsum(i * log_g[i] * g[k - i] for i in range(1, k + 1)) / k
+    d = [[mp.mpf(-1) / 3] + [(n + 2) * alpha[n + 2] for n in range(1, size - 2)]]
+    for k in range(1, rows):
+        d.append(
+            [(-1) ** k * g[k] * d[0][n] + (n + 2) * d[k - 1][n + 2]
+             for n in range(len(d[k - 1]) - 2)]
+        )
+    return [row[:cols] for row in d]
+
+
+class TestTemmeCoefficients:
+    def test_every_constant_matches_mpmath(self, mp):
+        table = special._TEMME_D
+        with mp.workdps(50):
+            want = _temme_coefficients(mp, len(table), len(table[0]))
+        for k, row in enumerate(table):
+            for n, value in enumerate(row):
+                assert abs(value - want[k][n]) <= 1e-15 * abs(want[k][n]), (k, n)
+
+    def test_known_leading_terms(self):
+        # c_0(0) = -1/3 and c_1(0) = -1/540 (DLMF 8.12.9-8.12.10)
+        assert special._TEMME_D[0][:2] == (-1.0 / 3.0, 1.0 / 12.0)
+        assert special._TEMME_D[1][0] == pytest.approx(-1.0 / 540.0, rel=1e-15)
