@@ -12,7 +12,6 @@ against mpmath at every shape; see its docstring.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -146,6 +145,7 @@ _TEMME_D = (
 _TEMME_TABLE = np.zeros((len(_TEMME_D), len(_TEMME_D[0])))
 for _k, _row in enumerate(_TEMME_D):
     _TEMME_TABLE[_k, : len(_row)] = _row
+_TEMME_ORDERS = np.arange(float(len(_TEMME_D)))
 _PHI_SERIES = 1.0 / np.arange(3.0, 36.0, 2.0)  # 1/3, 1/5, ..., 1/35
 # erfcx(w) w sqrt(pi) ~ sum_k (-1)^k (2k - 1)!! / (2 w^2)^k: 1, -1, 3, -15, ...
 _ERFCX_SERIES = np.concatenate([[1.0], np.cumprod(-np.arange(1.0, 15.0, 2.0))])
@@ -165,14 +165,6 @@ def _polyval(coef: np.ndarray, x):
     costs less than NumPy's pow or a Horner loop of ufunc calls."""
     powers = np.multiply.accumulate(x[..., None] * _ONES[: len(coef) - 1], axis=-1)
     return coef[0] + np.add.reduce(powers * coef[1:], axis=-1)
-
-
-@functools.lru_cache(maxsize=64)
-def _temme_coefficients(m: int) -> np.ndarray:
-    """sum_k c_k(eta) m^-k as Taylor coefficients in eta (read-only)."""
-    coef = np.power(float(m), -np.arange(len(_TEMME_TABLE))) @ _TEMME_TABLE
-    coef.flags.writeable = False
-    return coef
 
 
 def _ln_gamma_star(m: int) -> float:
@@ -241,7 +233,8 @@ def _temme(m: int, x):
     w2 = m * phi
     w = np.sqrt(w2)
     eta = np.copysign(np.sqrt(2.0 * phi), mu)
-    c = _polyval(_temme_coefficients(m), eta)
+    # sum_k c_k(eta) m^-k, from its Taylor coefficients in eta
+    c = _polyval(np.power(float(m), -_TEMME_ORDERS) @ _TEMME_TABLE, eta)
     # erfcx(w) = erfc(w) e^{w^2}; where erfc nears underflow, its asymptotic
     # series.  Both are computed for every element and one is kept, so the
     # discarded one may overflow.
@@ -286,36 +279,33 @@ def erlang_log_sf(m: int, x):
     """
     m = _check_shape(m)
     x = np.array(x, dtype=np.float64)
-    if x.ndim == 0:
-        value = x[()]
-        if value != value:
-            raise ValueError("x must not be NaN")
-        if value < 0:
-            raise ValueError("x must be nonnegative")
-        if value == 0.0:
-            return 0.0
-        if value == math.inf:
-            return -math.inf
-        kernel = next(k for hit, k in _branches(m, value) if hit)
-        return float(kernel(m, value))
     flat = x.reshape(-1)
     if flat.size == 0:
         return x
-    if np.isnan(flat).any():
+    # NaN if any element is; one element needs no reduction
+    lowest = highest = flat[0]
+    if flat.size > 1:
+        lowest, highest = flat.min(), flat.max()
+    if lowest != lowest:
         raise ValueError("x must not be NaN")
-    lowest, highest = flat.min(), flat.max()
     if lowest < 0:
         raise ValueError("x must be nonnegative")
     if lowest == 0.0 or highest == math.inf:
         out = np.where(flat == 0.0, 0.0, -math.inf)
         inner = (flat > 0.0) & (flat < math.inf)
         out[inner] = erlang_log_sf(m, flat[inner])
-        return out.reshape(x.shape)
-    out = np.empty_like(flat)
-    for hit, kernel in _branches(m, flat):
-        if hit.any():
-            out[hit] = kernel(m, flat[hit])
-    return out.reshape(x.shape)
+    elif x.ndim == 0:
+        # The kernels cost about twice as much on a one-element array as on
+        # a NumPy float, and each bisection step of a window search makes
+        # one scalar call.
+        value = x[()]
+        return float(next(k for hit, k in _branches(m, value) if hit)(m, value))
+    else:
+        out = np.empty_like(flat)
+        for hit, kernel in _branches(m, flat):
+            if hit.any():
+                out[hit] = kernel(m, flat[hit])
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def erlang_cdf(m: int, x: float) -> float:
