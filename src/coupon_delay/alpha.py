@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericError
+import numpy as np
+
+from .special import is_positive_real, log1p_excess, newton_bracket
 
 __all__ = ["AlphaSolution", "solve_alpha", "bridging_gap"]
 
-_MAX_ITER = 200
+_REL_WIDTH = 1e-15  # relative to u: a few ulps, a quarter of it at least one
 
 
 @dataclass(frozen=True)
@@ -30,72 +32,35 @@ class AlphaSolution:
     beta: float
     alpha: float
     residual: float  # alpha - beta ln(alpha) - (beta - beta ln(beta) + 1)
-    iterations: int
+    iterations: int  # evaluations of the equation by the root search
 
 
 def _excess_log_gap(u: float) -> float:
-    """u - log1p(u) without cancellation (series below u = 0.5)."""
-    if u > 0.5:
-        return u - math.log1p(u)
-    total = 0.0
-    power = u * u
-    k = 2
-    sign = 1.0
-    while True:
-        term = sign * power / k
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            return total
-        power *= u
-        k += 1
-        sign = -sign
+    """u - log1p(u), without cancellation below u = 0.5."""
+    return u - math.log1p(u) if u > 0.5 else float(log1p_excess(np.float64(u)))
 
 
 def _solve_excess(beta: float) -> tuple[float, float, int]:
-    """Root u of u - log1p(u) = 1/beta; returns (u, residual, iterations)."""
+    """Root u of u - log1p(u) = 1/beta; returns (u, residual, evaluations).
+
+    The search starts below the root: u - log1p(u) <= u^2/2 = 1/beta at
+    u = sqrt(2/beta), and u - log1p(u) - 1/beta = log1p(1/beta) - log1p(u)
+    < 0 at u = 1/beta + log1p(1/beta)."""
     inv_b = 1.0 / beta
+    evaluations = 0
 
     def g(u: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
         return _excess_log_gap(u) - inv_b
 
-    # g(1/beta) = -log1p(1/beta) < 0; the upper end mirrors the alpha-space
-    # bracket beta + 1 + sqrt(2 beta) + 2 + 1/beta.
-    lo = inv_b
-    hi = 3.0 * inv_b + math.sqrt(2.0 * inv_b) + inv_b * inv_b
-    doublings = 0
-    while g(hi) <= 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:  # pragma: no cover
-            raise NumericError(f"failed to bracket the root for beta={beta}")
-
-    u = max(inv_b + math.log1p(inv_b), math.sqrt(2.0 * inv_b))
-    if not lo < u < hi:
-        u = 0.5 * (lo + hi)
-    iterations = 0
-    for _ in range(_MAX_ITER):
-        iterations += 1
-        gu = g(u)
-        if gu > 0.0:
-            hi = u
-        else:
-            lo = u
-        if gu == 0.0:
-            break
-        step = gu * (1.0 + u) / u  # Newton with g'(u) = u/(1+u)
-        nxt = u - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - u) <= 2e-16 * abs(u):
-            u = nxt
-            break
-        u = nxt
-    residual = beta * g(u)
-    if abs(residual) > 1e-12 and iterations >= _MAX_ITER:
-        raise NumericError(
-            f"alpha solve did not converge for beta={beta}: residual={residual}"
-        )
-    return u, residual, iterations
+    start = max(inv_b + math.log1p(inv_b), math.sqrt(2.0 * inv_b))
+    failure = f"failed to bracket the root for beta={beta}"
+    above, below = newton_bracket(
+        g, lambda u, _: u / (1.0 + u), 0.0, start, start * 2.0**200, failure, _REL_WIDTH
+    )
+    u = 0.5 * (above + below)
+    return u, beta * (_excess_log_gap(u) - inv_b), evaluations
 
 
 def solve_alpha(beta: float) -> AlphaSolution:
@@ -104,7 +69,7 @@ def solve_alpha(beta: float) -> AlphaSolution:
     Deterministic, |residual| <= 1e-12 throughout beta in [1e-6, 1e6]
     (and in practice far beyond).
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
+    if not is_positive_real(beta):
         raise ValueError(f"beta must be a positive finite real, got {beta!r}")
     beta = float(beta)
     u, residual, iterations = _solve_excess(beta)
@@ -119,7 +84,8 @@ def bridging_gap(beta: float) -> float:
     Tends to 0 as beta grows, quantifying how the critical-regime
     normalization constants merge into the supercritical ones.
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
+    if not is_positive_real(beta):
         raise ValueError(f"beta must be a positive finite real, got {beta!r}")
-    u, _, _ = _solve_excess(float(beta))
+    beta = float(beta)
+    u, _, _ = _solve_excess(beta)
     return u * math.sqrt(beta) - math.sqrt(2.0)

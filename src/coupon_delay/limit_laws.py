@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .alpha import solve_alpha
-from .special import normal_cdf
+from .special import is_integer, is_positive_real, normal_cdf
 
 __all__ = [
     "FixedM",
@@ -51,8 +51,8 @@ class FixedM:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("FixedM requires m >= 1")
+        if not is_integer(self.m) or self.m < 1:
+            raise ValueError(f"FixedM requires an integer m >= 1, got {self.m!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class Critical:
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("Critical requires beta > 0")
+        if not is_positive_real(self.beta):
+            raise ValueError(f"Critical needs a positive real beta, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class FixedN:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("FixedN requires n >= 1")
+        if not is_integer(self.n) or self.n < 1:
+            raise ValueError(f"FixedN requires an integer n >= 1, got {self.n!r}")
 
 
 Regime = Union[FixedM, Supercritical, Critical, FixedN]
@@ -143,8 +143,8 @@ def normalization(regime: Regime, m: int, n: int) -> Normalization:
     the caller and is deliberately not enforced; goodness of fit is what
     the KS harness reports.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
+    if not (is_integer(m) and is_integer(n)) or m < 1 or n < 1:
+        raise ValueError(f"m and n must be integers >= 1, got {m!r}, {n!r}")
     if isinstance(regime, FixedN):
         return Normalization(
             center=float(n) * m,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +26,13 @@ import numpy as np
 from .alpha import solve_alpha
 from .errors import NumericError, QuadratureError
 from .limit_laws import Critical, FixedM, FixedN, Regime, Supercritical
-from .special import erlang_log_sf, is_integer
+from .special import (
+    erlang_log_pdf,
+    erlang_log_sf,
+    is_integer,
+    is_positive_real,
+    newton_bracket,
+)
 
 __all__ = [
     "ProblemSize",
@@ -146,31 +151,6 @@ class _Integrand:
             return -np.expm1(self.ps.n * np.log1p(-np.exp(self.log_sf(taus))))
 
 
-def _crossing(
-    g, level: float, x: float, x_limit: float, failure: str
-) -> tuple[float, float]:
-    """Bracket [lo, hi] of the point where g, decreasing from x on, falls
-    to ``level``: g(lo) > level >= g(hi), hi - lo <= 1e-9 hi.
-
-    Doubles x until g(x) <= level, raising NumericError(failure) once x
-    passes x_limit, then bisects; one evaluation of g per step.
-    """
-    while g(x) > level:
-        x *= 2.0
-        if x > x_limit:
-            raise NumericError(failure)
-    lo, hi = x / 2.0, x
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > level:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * hi:
-            break
-    return lo, hi
-
-
 def _adaptive_gauss(f, lo: float, hi: float, rel_tol: float, max_panels: int):
     """Adaptive panel integration of f over [lo, hi].
 
@@ -212,23 +192,34 @@ def _adaptive_gauss(f, lo: float, hi: float, rel_tol: float, max_panels: int):
         panels.append(measure(mid, b))
 
 
+def _tail_level(ps: ProblemSize, cfg: QuadratureConfig) -> float:
+    """The log-survival level past which the tail is dropped."""
+    level = cfg.tail_log_threshold
+    return math.log(1e-16) - math.log(ps.n) if level is None else level
+
+
+def _below_crossing(m: int, level: float) -> float:
+    """A start x with ln sf(m, x) > level < 0: ln sf(m, x) >= -x, and
+    P{Erlang(m) <= x} <= exp(-(m - x)^2 / (2 m)) for x < m (Chernoff)."""
+    spread = -math.log1p(-math.exp(level))
+    return max(-0.5 * level, m - math.sqrt(2.0 * m * spread))
+
+
 def _tail_window(ps: ProblemSize, cfg: QuadratureConfig) -> tuple[float, float]:
     """[x_front, x_tail] in Erlang abscissa units bracketing the transition
     of F_m(x)^n from ~0 to ~1 - 1e-16-per-unit tails."""
-    log_n = math.log(ps.n)
-    threshold = cfg.tail_log_threshold
-    if threshold is None:
-        threshold = math.log(1e-16) - log_n
     m = ps.m
 
     def crossing(level: float) -> tuple[float, float]:
         g = lambda x: erlang_log_sf(m, x)
-        return _crossing(g, level, float(m), 1e18, "tail cutoff search diverged")
+        slope = lambda x, log_sf: -math.exp(erlang_log_pdf(m, x) - log_sf)
+        start, failure = _below_crossing(m, level), "tail cutoff search diverged"
+        return newton_bracket(g, slope, level, start, 1e18, failure)
 
     # The front keeps log_sf >= its level, the tail log_sf <= its own.
-    front_level = _FRONT_LOG_LEVEL - log_n
+    front_level = _FRONT_LOG_LEVEL - math.log(ps.n)
     x_front = crossing(front_level)[0] if front_level < 0.0 else 0.0
-    return x_front, crossing(threshold)[1]
+    return x_front, crossing(_tail_level(ps, cfg))[1]
 
 
 def delta_power_moment(
@@ -249,12 +240,7 @@ def delta_power_moment(
     one table of values (see ``rising_moments``); without it the call
     builds its own.
     """
-    if not (
-        isinstance(s, numbers.Real)
-        and not isinstance(s, bool)
-        and math.isfinite(s)
-        and s > 0
-    ):
+    if not is_positive_real(s):
         raise ValueError(f"moment exponent must be a positive real, got {s!r}")
     cfg = cfg or QuadratureConfig()
     if integrand is None:
@@ -349,47 +335,43 @@ def variance_delay(
 def mgf_delta(
     ps: ProblemSize, z: float, cfg: Optional[QuadratureConfig] = None
 ) -> float:
-    """E[e^{z Delta}] = E[(1-z)^{-D}] for z < 1/n.
+    """E[e^{z Delta}] = E[(1-z)^{-D}] for finite z < 1/n.
 
     Returns the integral form 1 + z n Int_0^inf [1 - F_m(t)^n] e^{n z t} dt.
+    For z < 0 the two terms cancel, so results below about 1e-12 are not
+    resolved: they are rounding noise of order 1e-14, possibly negative, or
+    up to 1 once e^{n z t} underflows at the Gauss nodes (1 at m = 2, n = 3,
+    z = -1e6/6, where the exact value is 5.8e-33).
     """
     cfg = cfg or QuadratureConfig()
     m, n = ps.m, ps.n
-    if not z < 1.0 / n:
-        raise ValueError(f"mgf argument must satisfy z < 1/n = {1.0 / n}, got {z}")
+    if not (math.isfinite(z) and z < 1.0 / n):
+        raise ValueError(
+            f"mgf argument must be finite and below 1/n = {1.0 / n}, got {z}"
+        )
     z = float(z)
     rate = n * z
     integrand = _Integrand(ps, cfg)
-    x_front, x_base = integrand.window()
+    x_front, x_tail = integrand.window()
 
-    # Tail cutoff where ln(n) + log_sf + n z t drops below the threshold;
-    # the combined exponent is unimodal, so doubling plus bisection finds
-    # the descending crossing.
-    target = (
-        cfg.tail_log_threshold
-        if cfg.tail_log_threshold is not None
-        else math.log(1e-16) - math.log(n)
-    ) + math.log(n)
-
-    def combined(x: float) -> float:
-        return math.log(n) + erlang_log_sf(m, x) + rate * x
-
-    x_start = max(x_base, float(m))
-    x_limit = x_start * 2.0**200  # 200 doublings
+    # For z > 0 the tail cutoff moves out to where ln(n) + log_sf + n z t
+    # drops below the tail level plus ln(n).  That exponent is concave and
+    # exceeds it wherever log_sf does, so the search from below the window's
+    # tail finds its descending crossing.
     if rate > 0.0:
-        x_limit = min(x_limit, 680.0 / rate)
-    x_tail = _crossing(
-        combined,
-        target,
-        x_start,
-        x_limit,
-        f"mgf tail cutoff unreachable for z={z} (z too close to 1/n)",
-    )[1]
+        level = _tail_level(ps, cfg)
+        log_n = math.log(n)
+        x_tail = newton_bracket(
+            lambda x: log_n + erlang_log_sf(m, x) + rate * x,
+            lambda x, g: rate
+            - math.exp(erlang_log_pdf(m, x) - (g - log_n - rate * x)),
+            level + log_n,
+            _below_crossing(m, level),
+            680.0 / rate,
+            f"mgf tail cutoff unreachable for z={z} (z too close to 1/n)",
+        )[1]
 
-    if x_front > 0.0:
-        front = x_front if z == 0.0 else math.expm1(rate * x_front) / rate
-    else:
-        front = 0.0
+    front = x_front if rate == 0.0 else math.expm1(rate * x_front) / rate
 
     def f(xi: np.ndarray) -> np.ndarray:
         taus = m * xi

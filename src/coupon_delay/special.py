@@ -13,8 +13,11 @@ against mpmath at every shape; see its docstring.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
+
+from .errors import NumericError
 
 __all__ = [
     "partial_exp_sum",
@@ -34,6 +37,46 @@ def is_integer(value) -> bool:
     """True for Python and NumPy integers; False for bool, which Python
     counts as an int."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_positive_real(value) -> bool:
+    """True for a finite positive Python or NumPy real; False for bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value) and value > 0
+
+
+def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
+    """Bracket lo, hi of the point where the monotone g crosses ``level``:
+    g(lo) > level >= g(hi), |hi - lo| <= rel_width max(|lo|, |hi|), rel_width
+    >= 2^-52.  lo and hi are named for g, so lo > hi if g increases.
+
+    The crossing must lie above the start x > 0.  x is doubled until g(x)
+    changes side, raising NumericError(failure) once x passes x_limit.  Then
+    Newton steps with the derivative ``slope(x, g(x))``, from the end of that
+    bracket nearer ``level`` and then from the last point, each aimed a
+    quarter width past the root to close the bracket from both sides, or a
+    bisection if the step would leave the bracket.  One g call per step."""
+    gx = g(x)
+    start_side = gx > level
+    while (gx > level) == start_side:  # true at first, so prev is set
+        prev, g_prev, x = x, gx, 2.0 * x
+        if x > x_limit:
+            raise NumericError(failure)
+        gx = g(x)
+    lo, hi = (prev, x) if start_side else (x, prev)
+    if abs(g_prev - level) < abs(gx - level):
+        x, gx = prev, g_prev
+    while abs(hi - lo) > rel_width * max(abs(lo), abs(hi)):
+        c = 0.5 * (lo + hi)
+        d = slope(x, gx)
+        if d:
+            inward = math.copysign(0.25 * rel_width * abs(x), lo + hi - 2.0 * x)
+            t = x - (gx - level) / d + inward
+            if min(lo, hi) < t < max(lo, hi):
+                c = t
+        x, gx = c, g(c)
+        lo, hi = (x, hi) if gx > level else (lo, x)
+    return lo, hi
 
 
 def _check_shape(m) -> int:
@@ -167,6 +210,15 @@ def _polyval(coef: np.ndarray, x):
     return coef[0] + np.add.reduce(powers * coef[1:], axis=-1)
 
 
+def log1p_excess(mu):
+    """mu - log1p(mu), or lam - 1 - ln lam at lam = 1 + mu, for a NumPy float
+    or element by element over a 1-d array, with mu in [-1/2, 1]: the atanh
+    series in s = mu / (2 + mu), |s| <= 1/3, so nothing cancels."""
+    s = mu / (2.0 + mu)
+    s2 = s * s
+    return s * mu - 2.0 * s * s2 * _polyval(_PHI_SERIES, s2)
+
+
 def _ln_gamma_star(m: int) -> float:
     """ln(Gamma(m) / (sqrt(2 pi / m) (m / e)^m)) by Stirling's series, m > 40."""
     return sum(
@@ -189,8 +241,9 @@ def _finite_sum(m: int, x):
     return 1.0 + np.add.reduce(terms, axis=-1)
 
 
-def _log_front(m: int, x):
-    """ln(x^(m-1) e^-x / (m-1)!).  For m > 40 it is written through
+def erlang_log_pdf(m: int, x):
+    """ln(x^(m-1) e^-x / (m-1)!), the Erlang(m, 1) log density at x > 0,
+    for a shape m already checked.  For m > 40 it is written through
     lam - 1 - ln lam, lam = x/m, and Stirling's series, because
     (m - 1) ln x - x - lgamma(m) cancels terms near m ln m; outside the band
     lam - 1 - ln lam has no cancellation of its own."""
@@ -206,13 +259,13 @@ def _log_front(m: int, x):
 
 def _below(m: int, x):
     """log1p(-P), P = x^m e^-x / m! times the ascending series."""
-    log_p = _log_front(m, x) + np.log(x / m) + np.log(_ascending_sum(m, x))
+    log_p = erlang_log_pdf(m, x) + np.log(x / m) + np.log(_ascending_sum(m, x))
     return np.log1p(-np.exp(log_p))
 
 
 def _above(m: int, x):
     """ln(S_m(x) e^-x) from the finite sum."""
-    return _log_front(m, x) + np.log(_finite_sum(m, x))
+    return erlang_log_pdf(m, x) + np.log(_finite_sum(m, x))
 
 
 def _temme(m: int, x):
@@ -223,13 +276,10 @@ def _temme(m: int, x):
 
     with eta^2/2 = lam - 1 - ln lam, sign(eta) = sign(lam - 1) and
     w = |eta| sqrt(m/2).  Above the mode ln Q is returned directly, below it
-    log1p(-P).  lam - 1 - ln lam comes from the atanh series in
-    s = (lam - 1)/(lam + 1), |s| <= 1/3 on the band.
+    log1p(-P).
     """
     mu = (x - m) / m
-    s = mu / (2.0 + mu)
-    s2 = s * s
-    phi = s * mu - 2.0 * s * s2 * _polyval(_PHI_SERIES, s2)  # lam - 1 - ln lam
+    phi = log1p_excess(mu)  # lam - 1 - ln lam
     w2 = m * phi
     w = np.sqrt(w2)
     eta = np.copysign(np.sqrt(2.0 * phi), mu)
@@ -296,8 +346,7 @@ def erlang_log_sf(m: int, x):
         out[inner] = erlang_log_sf(m, flat[inner])
     elif x.ndim == 0:
         # The kernels cost about twice as much on a one-element array as on
-        # a NumPy float, and each bisection step of a window search makes
-        # one scalar call.
+        # a NumPy float, and each window-search step makes one scalar call.
         value = x[()]
         return float(next(k for hit, k in _branches(m, value) if hit)(m, value))
     else:

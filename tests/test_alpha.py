@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,9 +50,11 @@ class TestSolveAlpha:
         )
 
     def test_domain_errors(self):
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        for bad in (0.0, -1.0, math.nan, math.inf, True, "2"):
             with pytest.raises(ValueError):
                 solve_alpha(bad)
+        assert solve_alpha(np.int64(2)) == solve_alpha(2.0)
+        assert solve_alpha(np.float32(2.0)) == solve_alpha(2.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -88,5 +91,7 @@ class TestBridgingGap:
         assert abs(g8) < abs(g4)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            bridging_gap(-2.0)
+        for bad in (-2.0, True, math.inf):
+            with pytest.raises(ValueError):
+                bridging_gap(bad)
+        assert bridging_gap(np.int64(4)) == bridging_gap(4.0)

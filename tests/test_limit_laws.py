@@ -57,6 +57,31 @@ class TestNormalization:
             normalization(FixedM(2), 2, 2)
         normalization(FixedN(2), 5, 2)  # fixed-n path has no such restriction
 
+    def test_regime_and_shape_validation(self):
+        bad_regimes = [
+            lambda: FixedM(True),
+            lambda: FixedM(1.5),
+            lambda: FixedM(0),
+            lambda: FixedN(2.5),
+            lambda: FixedN(True),
+            lambda: Critical(True),
+            lambda: Critical(0.0),
+            lambda: Critical(math.nan),
+            lambda: Critical(math.inf),
+        ]
+        for make in bad_regimes:
+            with pytest.raises(ValueError):
+                make()
+        for m, n in [(2.5, 100), (2, 100.0), (True, 100), (0, 100)]:
+            with pytest.raises(ValueError):
+                normalization(FixedM(2), m, n)
+        assert normalization(FixedM(np.int64(2)), np.int64(2), np.int32(100)) == (
+            normalization(FixedM(2), 2, 100)
+        )
+        assert normalization(Critical(np.int64(2)), 20, 22026) == (
+            normalization(Critical(2.0), 20, 22026)
+        )
+
     def test_critical_center_matches_bare_presentation(self):
         # the constant-absorbing center must equal the bare centering of
         # the critical limit minus C times the scale

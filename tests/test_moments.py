@@ -20,6 +20,7 @@ from coupon_delay.moments import (
     rising_moments,
     variance_delay,
 )
+from coupon_delay.special import erlang_log_sf, newton_bracket
 
 
 def harmonic_mean_delay(n):
@@ -201,16 +202,72 @@ class TestCrossing:
             evaluations.append(x)
             return -x * x
 
-        lo, hi = moments._crossing(g, -10.0, 1.0, 1e18, "unused")
+        lo, hi = newton_bracket(g, lambda x, _: -2.0 * x, -10.0, 1.0, 1e18, "unused")
         assert -lo * lo > -10.0 >= -hi * hi
         assert hi - lo <= 1e-9 * hi
-        # 2 doublings, then one evaluation per bisection step
+        # 2 doublings, then one evaluation per Newton step
         assert evaluations[:3] == [1.0, 2.0, 4.0]
-        assert len(evaluations) <= 3 + 32
+        assert len(evaluations) <= 3 + 8
+
+    def test_brackets_an_increasing_g(self):
+        lo, hi = newton_bracket(
+            lambda x: x**3, lambda x, _: 3.0 * x * x, 10.0, 0.5, 1e18, "unused"
+        )
+        assert lo**3 > 10.0 >= hi**3
+        assert 0.0 < lo - hi <= 1e-9 * lo
+
+    @pytest.mark.parametrize(
+        "slope", [lambda x, _: 0.0, lambda x, _: 2.0 * x], ids=["zero", "wrong-sign"]
+    )
+    def test_bisects_where_newton_cannot_step(self, slope):
+        # A zero slope, or one of the wrong sign, whose steps leave the bracket
+        lo, hi = newton_bracket(lambda x: -x * x, slope, -10.0, 1.0, 1e18, "unused")
+        assert -lo * lo > -10.0 >= -hi * hi
+        assert hi - lo <= 1e-9 * hi
 
     def test_gives_up_past_the_limit(self):
         with pytest.raises(NumericError, match="search diverged"):
-            moments._crossing(lambda x: 0.0, -1.0, 1.0, 1e3, "search diverged")
+            newton_bracket(
+                lambda x: 0.0, lambda x, _: 0.0, -1.0, 1.0, 1e3, "search diverged"
+            )
+
+
+class TestTailWindow:
+    @pytest.mark.parametrize("m", [1, 2, 40, 41, 1000, 10**6])
+    @pytest.mark.parametrize("n", [1, 10, 60, 10**6])
+    def test_brackets_both_levels(self, m, n):
+        # Each end lies on its side of its level and within 1e-9 of the
+        # crossing; at n = 60 the front crossing lies below m.
+        x_front, x_tail = moments._tail_window(ProblemSize(m, n), QuadratureConfig())
+        front_level = math.log(45.0) - math.log(n)
+        if front_level < 0.0:
+            assert erlang_log_sf(m, x_front) >= front_level
+            assert erlang_log_sf(m, x_front * (1.0 + 1.000001e-9)) <= front_level
+        else:
+            assert x_front == 0.0
+        tail_level = math.log(1e-16 / n)
+        assert erlang_log_sf(m, x_tail) <= tail_level
+        assert erlang_log_sf(m, x_tail * (1.0 - 1.000001e-9)) > tail_level
+
+    @pytest.mark.parametrize("m", [1, 1000])
+    def test_tail_level_below_the_median(self, m):
+        cfg = QuadratureConfig(tail_log_threshold=-0.1)
+        _, x_tail = moments._tail_window(ProblemSize(m, 10), cfg)
+        assert erlang_log_sf(m, x_tail) <= -0.1
+        assert erlang_log_sf(m, x_tail * (1.0 - 1.000001e-9)) > -0.1
+
+    def test_kernel_calls(self, monkeypatch):
+        calls = 0
+        kernel = moments.erlang_log_sf
+
+        def counted(m, x):
+            nonlocal calls
+            calls += 1
+            return kernel(m, x)
+
+        monkeypatch.setattr(moments, "erlang_log_sf", counted)
+        moments._tail_window(ProblemSize(5, 1000), QuadratureConfig())
+        assert calls <= 20  # bisection took 66
 
 
 class TestMeanDelay:
@@ -261,8 +318,9 @@ class TestMgf:
         assert fd == pytest.approx(mean, rel=1e-4)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            mgf_delta(ProblemSize(1, 4), 0.25)  # z >= 1/n
+        for z in (0.25, -math.inf, math.inf, math.nan):  # 0.25 = 1/n
+            with pytest.raises(ValueError):
+                mgf_delta(ProblemSize(1, 4), z)
 
 
 class TestExactOracles:
