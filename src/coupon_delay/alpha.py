@@ -32,7 +32,7 @@ class AlphaSolution:
     beta: float
     alpha: float
     residual: float  # alpha - beta ln(alpha) - (beta - beta ln(beta) + 1)
-    iterations: int  # evaluations of the equation by the root search
+    iterations: int  # root-search steps after the bracket
 
 
 def _excess_log_gap(u: float) -> float:
@@ -41,26 +41,28 @@ def _excess_log_gap(u: float) -> float:
 
 
 def _solve_excess(beta: float) -> tuple[float, float, int]:
-    """Root u of u - log1p(u) = 1/beta; returns (u, residual, evaluations).
+    """Root u of u - log1p(u) = 1/beta; returns (u, residual, steps), the
+    steps counted after the bracket.
 
     The search starts below the root: u - log1p(u) <= u^2/2 = 1/beta at
     u = sqrt(2/beta), and u - log1p(u) - 1/beta = log1p(1/beta) - log1p(u)
     < 0 at u = 1/beta + log1p(1/beta)."""
     inv_b = 1.0 / beta
-    evaluations = 0
+    steps = 0
 
-    def g(u: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return _excess_log_gap(u) - inv_b
+    def slope(u: float, _) -> float:  # called once per step after the bracket
+        nonlocal steps
+        steps += 1
+        return u / (1.0 + u)
 
     start = max(inv_b + math.log1p(inv_b), math.sqrt(2.0 * inv_b))
     failure = f"failed to bracket the root for beta={beta}"
     above, below = newton_bracket(
-        g, lambda u, _: u / (1.0 + u), 0.0, start, start * 2.0**200, failure, _REL_WIDTH
+        lambda u: _excess_log_gap(u) - inv_b,
+        slope, 0.0, start, start * 2.0**200, failure, _REL_WIDTH,
     )
     u = 0.5 * (above + below)
-    return u, beta * (_excess_log_gap(u) - inv_b), evaluations
+    return u, beta * (_excess_log_gap(u) - inv_b), steps
 
 
 def solve_alpha(beta: float) -> AlphaSolution:

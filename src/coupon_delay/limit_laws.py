@@ -67,6 +67,7 @@ class Critical:
     def __post_init__(self):
         if not is_positive_real(self.beta):
             raise ValueError(f"Critical needs a positive real beta, got {self.beta!r}")
+        object.__setattr__(self, "beta", float(self.beta))
 
 
 @dataclass(frozen=True)

@@ -299,8 +299,7 @@ def _temme(m: int, x):
 
 
 def _branches(m: int, x):
-    """(selector, kernel) pairs covering every x > 0; x is a NumPy float or
-    a 1-d array, and each selector matches its type."""
+    """(selector, kernel) pairs covering every x > 0 of the 1-d array x."""
     if m <= _FINITE_SUM_MAX_SHAPE:
         below = x < m
         return ((below, _below), (~below, _above))
@@ -344,11 +343,6 @@ def erlang_log_sf(m: int, x):
         out = np.where(flat == 0.0, 0.0, -math.inf)
         inner = (flat > 0.0) & (flat < math.inf)
         out[inner] = erlang_log_sf(m, flat[inner])
-    elif x.ndim == 0:
-        # The kernels cost about twice as much on a one-element array as on
-        # a NumPy float, and each window-search step makes one scalar call.
-        value = x[()]
-        return float(next(k for hit, k in _branches(m, value) if hit)(m, value))
     else:
         out = np.empty_like(flat)
         for hit, kernel in _branches(m, flat):

@@ -78,9 +78,10 @@ class TestNormalization:
         assert normalization(FixedM(np.int64(2)), np.int64(2), np.int32(100)) == (
             normalization(FixedM(2), 2, 100)
         )
-        assert normalization(Critical(np.int64(2)), 20, 22026) == (
-            normalization(Critical(2.0), 20, 22026)
-        )
+        for beta in (np.int64(2), np.float32(2.0)):
+            assert normalization(Critical(beta), 20, 22026) == (
+                normalization(Critical(2.0), 20, 22026)
+            )
 
     def test_critical_center_matches_bare_presentation(self):
         # the constant-absorbing center must equal the bare centering of
