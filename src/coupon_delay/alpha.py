@@ -35,9 +35,9 @@ class AlphaSolution:
     iterations: int  # root-search steps after the bracket
 
 
-def _excess_log_gap(u: float) -> float:
-    """u - log1p(u), without cancellation below u = 0.5."""
-    return u - math.log1p(u) if u > 0.5 else float(log1p_excess(np.float64(u)))
+def _excess_log_gap(u):
+    """u - log1p(u), element-wise, without cancellation below u = 0.5."""
+    return np.where(u > 0.5, u - np.log1p(u), log1p_excess(np.minimum(u, 0.5)))
 
 
 def _solve_excess(beta: float) -> tuple[float, float, int]:
@@ -62,7 +62,7 @@ def _solve_excess(beta: float) -> tuple[float, float, int]:
         slope, 0.0, start, start * 2.0**200, failure, _REL_WIDTH,
     )
     u = 0.5 * (above + below)
-    return u, beta * (_excess_log_gap(u) - inv_b), steps
+    return u, float(beta * (_excess_log_gap(u) - inv_b)), steps
 
 
 def solve_alpha(beta: float) -> AlphaSolution:

@@ -27,6 +27,7 @@ from .alpha import solve_alpha
 from .errors import NumericError, QuadratureError
 from .limit_laws import Critical, FixedM, FixedN, Regime, Supercritical
 from .special import (
+    below_crossing,
     erlang_log_pdf,
     erlang_log_sf,
     is_integer,
@@ -198,28 +199,25 @@ def _tail_level(ps: ProblemSize, cfg: QuadratureConfig) -> float:
     return math.log(1e-16) - math.log(ps.n) if level is None else level
 
 
-def _below_crossing(m: int, level: float) -> float:
-    """A start x with ln sf(m, x) > level < 0: ln sf(m, x) >= -x, and
-    P{Erlang(m) <= x} <= exp(-(m - x)^2 / (2 m)) for x < m (Chernoff)."""
-    spread = -math.log1p(-math.exp(level))
-    return max(-0.5 * level, m - math.sqrt(2.0 * m * spread))
-
-
 def _tail_window(ps: ProblemSize, cfg: QuadratureConfig) -> tuple[float, float]:
     """[x_front, x_tail] in Erlang abscissa units bracketing the transition
-    of F_m(x)^n from ~0 to ~1 - 1e-16-per-unit tails."""
+    of F_m(x)^n from ~0 to ~1 - 1e-16-per-unit tails.  Both crossings are
+    found by one element-wise search; the front keeps log_sf >= its level,
+    the tail log_sf <= its own."""
     m = ps.m
-
-    def crossing(level: float) -> tuple[float, float]:
-        g = lambda x: erlang_log_sf(m, x)
-        slope = lambda x, log_sf: -math.exp(erlang_log_pdf(m, x) - log_sf)
-        start, failure = _below_crossing(m, level), "tail cutoff search diverged"
-        return newton_bracket(g, slope, level, start, 1e18, failure)
-
-    # The front keeps log_sf >= its level, the tail log_sf <= its own.
     front_level = _FRONT_LOG_LEVEL - math.log(ps.n)
-    x_front = crossing(front_level)[0] if front_level < 0.0 else 0.0
-    return x_front, crossing(_tail_level(ps, cfg))[1]
+    levels = np.array([front_level, _tail_level(ps, cfg)])
+    if front_level >= 0.0:
+        levels = levels[1:]
+    lo, hi = newton_bracket(
+        lambda x: erlang_log_sf(m, x),
+        lambda x, log_sf: -np.exp(erlang_log_pdf(m, x) - log_sf),
+        levels,
+        below_crossing(m, levels),
+        1e18,
+        "tail cutoff search diverged",
+    )
+    return (float(lo[0]) if len(levels) == 2 else 0.0), float(hi[-1])
 
 
 def delta_power_moment(
@@ -363,10 +361,9 @@ def mgf_delta(
         log_n = math.log(n)
         x_tail = newton_bracket(
             lambda x: log_n + erlang_log_sf(m, x) + rate * x,
-            lambda x, g: rate
-            - math.exp(erlang_log_pdf(m, x) - (g - log_n - rate * x)),
+            lambda x, g: rate - np.exp(erlang_log_pdf(m, x) - (g - log_n - rate * x)),
             level + log_n,
-            _below_crossing(m, level),
+            below_crossing(m, level),
             680.0 / rate,
             f"mgf tail cutoff unreachable for z={z} (z too close to 1/n)",
         )[1]

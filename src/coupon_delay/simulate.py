@@ -18,7 +18,7 @@ import numpy as np
 
 from .limit_laws import Regime, normalization, target_cdf
 from .moments import ProblemSize
-from .special import is_integer
+from .special import erlang_log_sf_inverse, is_integer, log1mexp
 
 __all__ = [
     "MODE_DISCRETE",
@@ -114,6 +114,24 @@ def _run_reps(worker, reps: int) -> list:
     return [item for part in parts for item in part]
 
 
+# Replications inverted per erlang_log_sf_inverse call: its temporaries
+# peak near 1.2 KB per element, so about 10 MB per block whatever reps is.
+_INVERSE_BLOCK = 8192
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
+
+
+def _delta_from_exponential(m: int, n: int, e: np.ndarray) -> np.ndarray:
+    """Delta with P{Delta <= Delta_i} = F_m(Delta_i / n)^n = e^-E_i for each
+    standard exponential E_i, so Delta has the law of n times the largest of
+    n Gamma(m, 1) variables: Delta = n x with ln sf_m(x) = ln(1 - e^(-E/n)).
+    That level is floored at the log of the smallest normal double, so E = 0,
+    whose Delta is infinite, gives a finite one."""
+    level = np.maximum(log1mexp(e / n), _LOG_TINY)
+    blocks = range(0, len(level), _INVERSE_BLOCK)
+    x = [erlang_log_sf_inverse(m, level[i : i + _INVERSE_BLOCK]) for i in blocks]
+    return n * np.concatenate(x)
+
+
 def _sample(config: SimConfig, mode: str) -> SampleBatch:
     """The one generator behind every mode; the mode picks the columns kept.
 
@@ -121,28 +139,30 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
     all streams are done at x = max G_j and Delta = n x.  By the strong
     Markov property stream j adds Poisson(x - G_j) further arrivals by time
     x, independent of every G, so D = m n + Poisson(sum_j (x - G_j)) and the
-    pair (D, Delta) has the exact coupled law.  Each replication costs O(n)
-    time and memory.
+    pair (D, Delta) has the exact coupled law, at O(n) time and memory per
+    replication.  Delta alone needs no G_j: poissonized mode draws one
+    standard exponential per replication and inverts P{Delta <= x} =
+    F_m(x/n)^n at it, in O(1).
     """
     if config.mode != mode:
         raise ValueError(f"sample_{mode} requires mode={mode!r}")
     m, n = config.ps.m, config.ps.n
-    keep_d, keep_delta = mode != MODE_POISSONIZED, mode != MODE_DISCRETE
+    if mode == MODE_POISSONIZED:
+        draw = lambda rep: _rep_rng(config.seed, rep).standard_exponential()
+        e = np.array(_run_reps(draw, config.reps))
+        return SampleBatch(config=config, delta_values=_delta_from_exponential(m, n, e))
 
     def worker(rep: int) -> tuple[int, float]:
         rng = _rep_rng(config.seed, rep)
         g = rng.standard_gamma(m, size=n)
         x = g.max()
-        # Poissonized batches never draw the Poisson term, so their stream
-        # and values match a pure max-of-gammas sampler.
-        d = m * n + int(rng.poisson((x - g).sum())) if keep_d else 0
-        return d, float(n * x)
+        return m * n + int(rng.poisson((x - g).sum())), float(n * x)
 
     d, delta = zip(*_run_reps(worker, config.reps))
     return SampleBatch(
         config=config,
-        d_values=np.array(d, dtype=np.int64) if keep_d else None,
-        delta_values=np.array(delta, dtype=np.float64) if keep_delta else None,
+        d_values=np.array(d, dtype=np.int64),
+        delta_values=np.array(delta) if mode == MODE_COUPLED else None,
     )
 
 
@@ -155,9 +175,14 @@ def sample_poissonized(config: SimConfig) -> SampleBatch:
     """Replicated draws of Delta alone: n times the largest of n Gamma(m, 1)
     completion times, i.e. the largest of n Erlang(m, rate 1/n) variables.
 
-    The Poisson draw for D is skipped, so each replication costs n gamma
-    variates regardless of m (the gamma sampler is the O(1) squeeze-accept
-    method for shapes >= 1).
+    Its law is P{Delta <= x} = F_m(x/n)^n, so replication i takes one
+    standard exponential E from its stream and returns the Delta with
+    F_m(Delta/n)^n = e^-E, exact to the accuracy of ``erlang_log_sf``.  Each
+    replication costs O(1) time and memory at every (m, n), n = 1e12
+    included: one stream set-up, one draw, and its share of one
+    element-wise ``erlang_log_sf_inverse`` call for the whole batch.  The
+    values differ from the Delta column of ``sample_coupled`` at the same
+    seed; only the laws agree.
     """
     return _sample(config, MODE_POISSONIZED)
 

@@ -31,6 +31,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
+_LN2 = math.log(2.0)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def is_integer(value) -> bool:
@@ -45,6 +47,9 @@ def is_positive_real(value) -> bool:
     return real and math.isfinite(value) and value > 0
 
 
+_MAX_NEWTON_ROUNDS = 200  # bisection alone narrows any bracket in 60
+
+
 def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
     """Bracket lo, hi of the point where the monotone g crosses ``level``:
     g(lo) > level >= g(hi), |hi - lo| <= rel_width max(|lo|, |hi|), rel_width
@@ -55,28 +60,78 @@ def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
     Newton steps with the derivative ``slope(x, g(x))``, from the end of that
     bracket nearer ``level`` and then from the last point, each aimed a
     quarter width past the root to close the bracket from both sides, or a
-    bisection if the step would leave the bracket.  One g call per step."""
-    gx = g(x)
+    bisection if the step would leave the bracket; NumericError(failure)
+    again if 200 steps leave it wide, as where g is flat to its last digit
+    over the bracket.
+
+    ``level`` and x are floats, which give floats, or arrays, which broadcast
+    together and give arrays of that shape.  Every element doubles until its
+    own g has changed side, then steps until its own bracket is narrow, and
+    is not evaluated again once it is done.  Each round calls g once, on a
+    1-d array of the points still searching; g and slope must act element by
+    element, so an element's bracket does not depend on the others.
+
+    The width must stay above the resolution of the crossing in x, x's own
+    rounding plus the x-error that g's error implies, or Newton keeps
+    landing on one side and each step only bisects.  A relative error e in
+    ln sf moves its crossing by at most e relative, e |level| / (x hazard),
+    because the Erlang hazard increases.  A 2000-level
+    ``erlang_log_sf_inverse`` at (3, 4) takes 10 g calls at any width from
+    1e-12 down to 2e-15, and 60 at 4e-16, two ulps; it uses 1e-12, above
+    ``erlang_log_sf``'s stated accuracy, and one more Newton step.
+    """
+    shape = np.broadcast(level, x).shape
+    level, x = (
+        np.array(np.broadcast_to(a, shape), dtype=np.float64).reshape(-1)
+        for a in (level, x)
+    )
+    gx = np.array(np.broadcast_to(g(x.copy()), x.shape), dtype=np.float64)
     start_side = gx > level
-    while (gx > level) == start_side:  # true at first, so prev is set
-        prev, g_prev, x = x, gx, 2.0 * x
-        if x > x_limit:
+    prev, g_prev = x.copy(), gx.copy()
+    moving = np.arange(x.size)  # the elements still doubling
+    while moving.size:
+        step = 2.0 * x[moving]
+        if (step > x_limit).any():
             raise NumericError(failure)
-        gx = g(x)
-    lo, hi = (prev, x) if start_side else (x, prev)
-    if abs(g_prev - level) < abs(gx - level):
-        x, gx = prev, g_prev
-    while abs(hi - lo) > rel_width * max(abs(lo), abs(hi)):
-        c = 0.5 * (lo + hi)
+        g_step = g(step)
+        prev[moving], g_prev[moving] = x[moving], gx[moving]
+        x[moving], gx[moving] = step, g_step
+        moving = moving[(g_step > level[moving]) == start_side[moving]]
+    # The crossing lies above the start, so g falls where it starts above the
+    # level.  The bracket is kept as left < right until the end.
+    falling = start_side
+    left, right = prev, x
+    back = np.abs(g_prev - level) < np.abs(gx - level)
+    x, gx = np.where(back, prev, x), np.where(back, g_prev, gx)
+    # Newton steps on the elements whose brackets are still wide; each
+    # finished element's bracket is written out and dropped.
+    out_left, out_right = left.copy(), right.copy()
+    index = np.arange(x.size)
+    nudge = 0.25 * rel_width
+    for _ in range(_MAX_NEWTON_ROUNDS):
+        wide = right - left > rel_width * right
+        if not wide.all():
+            out_left[index], out_right[index] = left, right
+            if not wide.any():
+                break
+            index, x, gx, level, falling, left, right = (
+                a[wide] for a in (index, x, gx, level, falling, left, right)
+            )
         d = slope(x, gx)
-        if d:
-            inward = math.copysign(0.25 * rel_width * abs(x), lo + hi - 2.0 * x)
-            t = x - (gx - level) / d + inward
-            if min(lo, hi) < t < max(lo, hi):
-                c = t
-        x, gx = c, g(c)
-        lo, hi = (x, hi) if gx > level else (lo, x)
-    return lo, hi
+        ends = left + right
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = x - (gx - level) / d + np.copysign(nudge * x, ends - 2.0 * x)
+        x = np.where((left < t) & (t < right), t, 0.5 * ends)
+        gx = g(x)
+        on_left = (gx > level) == falling
+        left, right = np.where(on_left, x, left), np.where(on_left, right, x)
+    else:  # a g too flat to resolve its crossing: the steps only creep
+        raise NumericError(failure)
+    lo = np.where(start_side, out_left, out_right)
+    hi = np.where(start_side, out_right, out_left)
+    if shape == ():
+        return float(lo[0]), float(hi[0])
+    return lo.reshape(shape), hi.reshape(shape)
 
 
 def _check_shape(m) -> int:
@@ -349,6 +404,82 @@ def erlang_log_sf(m: int, x):
             if hit.any():
                 out[hit] = kernel(m, flat[hit])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def log1mexp(a):
+    """ln(1 - e^-a) for a >= 0, element-wise, without cancellation
+    (Maechler 2012): ln(-expm1(-a)) up to a = ln 2, log1p(-e^-a) above it."""
+    a = np.asarray(a, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return np.where(a <= _LN2, np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
+
+
+def below_crossing(m: int, level):
+    """A start x with ln sf(m, x) > level, element-wise for levels < 0: the
+    largest of three lower bounds on the crossing.  ln sf(m, x) >= -x; the
+    Chernoff bound P{Erlang(m) <= x} <= exp(-(m - x)^2 / (2 m)) for x < m;
+    and P{Erlang(m) <= x} < x^m / m!, taken a relative 1e-6 low so that
+    rounding cannot put it past a crossing it nearly meets (at small x)."""
+    log_cdf = log1mexp(-np.asarray(level, dtype=np.float64))
+    chernoff = m - np.sqrt(-2.0 * m * log_cdf)
+    power = np.exp((log_cdf + math.lgamma(m + 1.0)) / m) * (1.0 - 1e-6)
+    return np.maximum(np.maximum(-0.5 * level, chernoff), power)
+
+
+# Relative bracket width of erlang_log_sf_inverse: above the kernel's stated
+# accuracy, 1e-12, so that Newton closes it from both sides (see
+# newton_bracket); the Newton step that follows makes up the accuracy.
+_INVERSE_REL_WIDTH = 1e-12
+
+
+def erlang_log_sf_inverse(m: int, level):
+    """The x with ln P{Erlang(m, 1) > x} = ``level``, a float for a float or
+    an array of the input's shape, each element solved on its own.  0 at
+    level 0 and inf at level -inf; NaN or a positive level raises ValueError.
+    A subnormal level, above -2.2e-308, is solved as -2.2e-308: ln sf near
+    it has too few digits to resolve the crossing.
+
+    The search runs on ln(-ln sf), the log of the cumulative hazard, which
+    rises like m ln x far below the mode and like ln x far above it, so that
+    Newton converges fast at every level; on ln sf itself each step far
+    below the mode gains only one e-fold of sf.  A ``newton_bracket`` of
+    relative width 1e-12, started at ``below_crossing``, then one Newton
+    step from its midpoint, kept inside the bracket: its error is quadratic
+    in the midpoint's, so x is as accurate as the kernel and its rounding
+    allow.  That matters where x hazard(x) is large: at m = 1e6 near the
+    mode it is about 1000, so a relative 1e-15 of x moves ln sf by 1e-12.
+    """
+    m = _check_shape(m)
+    level = np.array(level, dtype=np.float64)
+    flat = level.reshape(-1)
+    if np.isnan(flat).any() or (flat > 0.0).any():
+        raise ValueError("level must be a log-probability, in [-inf, 0]")
+    out = np.where(flat == 0.0, 0.0, math.inf)
+    inner = (flat < 0.0) & (flat > -math.inf)
+    if inner.any():
+        target = np.minimum(flat[inner], -_TINY)
+
+        def log_hazard_sum(x):  # ln(-ln sf), -inf where sf rounds to 1
+            with np.errstate(divide="ignore"):
+                return np.log(-erlang_log_sf(m, x))
+
+        def slope(x, g):  # hazard / cumulative hazard, with -ln sf = e^g
+            return np.exp(erlang_log_pdf(m, x) + np.exp(g) - g)
+
+        log_target = np.log(-target)
+        lo, hi = newton_bracket(
+            log_hazard_sum,
+            slope,
+            log_target,
+            below_crossing(m, target),
+            1e18,
+            "Erlang survival inverse diverged",
+            _INVERSE_REL_WIDTH,
+        )
+        mid = 0.5 * (lo + hi)
+        g = log_hazard_sum(mid)
+        out[inner] = np.clip(mid + (log_target - g) / slope(mid, g), hi, lo)
+    return float(out[0]) if level.ndim == 0 else out.reshape(level.shape)
 
 
 def erlang_cdf(m: int, x: float) -> float:

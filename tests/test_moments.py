@@ -225,6 +225,24 @@ class TestCrossing:
         assert -lo * lo > -10.0 >= -hi * hi
         assert hi - lo <= 1e-9 * hi
 
+    def test_array_elements_search_on_their_own(self):
+        # Each element's bracket equals its scalar search, whatever the
+        # batch: levels needing 1 to 40 doublings and different step counts
+        levels = -np.geomspace(0.5, 1e24, 9)
+        starts = np.linspace(0.5, 2.0, 9)
+        g = lambda x: -x * x
+        slope = lambda x, _: -2.0 * x
+        lo, hi = newton_bracket(g, slope, levels, starts, 1e18, "unused")
+        for i in range(len(levels)):
+            assert (lo[i], hi[i]) == newton_bracket(
+                g, slope, levels[i], starts[i], 1e18, "unused"
+            )
+        lo2, hi2 = newton_bracket(g, slope, levels[::-1], starts[::-1], 1e18, "unused")
+        assert np.array_equal(lo2, lo[::-1]) and np.array_equal(hi2, hi[::-1])
+        # a scalar level broadcasts against an array of starts
+        lo3, _ = newton_bracket(g, slope, -10.0, np.array([[1.0, 2.0]]), 1e18, "unused")
+        assert lo3.shape == (1, 2)
+
     def test_gives_up_past_the_limit(self):
         with pytest.raises(NumericError, match="search diverged"):
             newton_bracket(

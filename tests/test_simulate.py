@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from coupon_delay.limit_laws import FixedM, FixedN
 from coupon_delay.moments import ProblemSize, exact_dist_small, mean_delay
+from coupon_delay import simulate
 from coupon_delay.simulate import (
     MODE_COUPLED,
     MODE_DISCRETE,
@@ -120,6 +122,67 @@ class TestPoissonizedSampler:
         x = batch.delta_values
         se = x.std(ddof=1) / math.sqrt(reps)
         assert abs(x.mean() - mean_delay(ProblemSize(m, n)).value) <= 5 * se
+
+
+def _stream_exponentials(seed, reps):
+    """The standard exponential each replication of a poissonized batch draws."""
+    return np.array(
+        [simulate._rep_rng(seed, rep).standard_exponential() for rep in range(reps)]
+    )
+
+
+class TestDeltaInversion:
+    @pytest.mark.parametrize("n", [1, 3, 1000, 10**12])
+    def test_single_coverage_closed_form(self, n):
+        # m = 1: sf(x) = e^-x, so Delta = -n ln(1 - e^(-E/n)), where
+        # 1 - e^(-E/n) is formed without cancellation on both sides of 1/2
+        batch = sample_poissonized(_config(1, n, 300, 41, MODE_POISSONIZED))
+        a = _stream_exponentials(41, 300) / n
+        with np.errstate(divide="ignore"):
+            low, high = np.log(-np.expm1(-a)), np.log1p(-np.exp(-a))
+        want = -n * np.where(a > math.log(2.0), high, low)
+        np.testing.assert_allclose(batch.delta_values, want, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "m,n", [(3, 4), (2, 10**5), (20, 22026), (10**4, 3), (10**6, 10)]
+    )
+    def test_inverts_the_law_of_delta(self, m, n):
+        # F_m(Delta/n)^n = e^-E, with scipy's incomplete gamma as the oracle;
+        # E up to 8 covers all but 3.4e-4 of the law
+        gammaincc = pytest.importorskip("scipy.special").gammaincc
+        e = np.geomspace(1e-6, 8.0, 300)
+        delta = simulate._delta_from_exponential(m, n, e)
+        log_cdf_n = n * np.log1p(-gammaincc(m, delta / n))
+        np.testing.assert_allclose(np.exp(log_cdf_n), np.exp(-e), rtol=1e-12)
+
+    def test_law_against_the_exact_cdf(self):
+        gammaincc = pytest.importorskip("scipy.special").gammaincc
+        m, n, reps = 3, 4, 5000
+        batch = sample_poissonized(_config(m, n, reps, 43, MODE_POISSONIZED))
+        delta = np.sort(batch.delta_values)
+        cdf = np.exp(n * np.log1p(-gammaincc(m, delta / n)))
+        assert ks_statistic(delta, cdf) <= 1.63 / math.sqrt(reps)
+
+    def test_zero_exponential_stays_finite(self):
+        # E = 0 puts Delta at infinity; the level is floored instead
+        delta = simulate._delta_from_exponential(3, 10, np.array([0.0, 5e-324, 1e-300]))
+        assert np.isfinite(delta).all()
+        assert delta[0] == delta[1] >= delta[2] > 0.0
+
+    def test_replication_does_not_depend_on_the_batch(self):
+        full = sample_poissonized(_config(20, 22026, 300, 47, MODE_POISSONIZED))
+        head = sample_poissonized(_config(20, 22026, 7, 47, MODE_POISSONIZED))
+        assert np.array_equal(full.delta_values[:7], head.delta_values)
+
+    def test_huge_n_is_constant_time(self):
+        # n gammas per replication would take 8 TB here
+        reps = 400
+        t0 = time.perf_counter()
+        batch = sample_poissonized(_config(2, 10**12, reps, 53, MODE_POISSONIZED))
+        assert time.perf_counter() - t0 < 1.0
+        x = batch.delta_values
+        se = x.std(ddof=1) / math.sqrt(reps)
+        assert abs(x.mean() - mean_delay(ProblemSize(2, 10**12)).value) <= 5 * se
 
 
 class TestCoupledSampler:

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from coupon_delay import special
 from coupon_delay.special import (
+    below_crossing,
     berry_esseen_gap,
     erlang_cdf,
     erlang_log_sf,
+    erlang_log_sf_inverse,
     gumbel_cdf,
+    log1mexp,
     normal_cdf,
     partial_exp_sum,
     tricomi_log_sf,
@@ -163,6 +166,67 @@ class TestErlangLogSf:
         assert value <= 0.0
         assert not math.isnan(value)
         assert erlang_log_sf(m, x + bump) <= value + 1e-12 * abs(value)
+
+
+class TestErlangLogSfInverse:
+    @pytest.mark.parametrize("m", [1, 2, 3, 40, 41, 1000, 10**6])
+    def test_solves_the_level(self, m):
+        level = -np.geomspace(1e-20, 700.0, 60)
+        x = erlang_log_sf_inverse(m, level)
+        assert (np.diff(x) > 0).all()
+        # ln sf(x) = level within the bracket's 1e-14 of x, times the hazard
+        hazard = np.exp(special.erlang_log_pdf(m, x) - level)
+        slack = 1e-14 * x * hazard + 1e-12 * np.abs(level)
+        assert (np.abs(erlang_log_sf(m, x) - level) <= slack).all()
+
+    def test_ends_and_domain(self):
+        assert erlang_log_sf_inverse(3, 0.0) == 0.0
+        assert erlang_log_sf_inverse(3, -math.inf) == math.inf
+        x = erlang_log_sf_inverse(1, np.array([[0.0, -1.5], [-math.inf, -3.0]]))
+        assert x.shape == (2, 2)
+        assert x[0, 0] == 0.0 and x[1, 0] == math.inf
+        assert x[0, 1] == pytest.approx(1.5, rel=1e-14)
+        assert isinstance(erlang_log_sf_inverse(1, -1.0), float)
+        for bad in (0.5, math.nan, [-1.0, math.nan]):
+            with pytest.raises(ValueError):
+                erlang_log_sf_inverse(2, bad)
+
+    @pytest.mark.parametrize("m", [3, 20, 10**4])
+    def test_element_alone_in_a_batch_and_permuted(self, m):
+        level = log1mexp(np.random.default_rng(m).standard_exponential(200) / 7.0)
+        batch = erlang_log_sf_inverse(m, level)
+        order = np.random.default_rng(1).permutation(len(level))
+        assert np.array_equal(erlang_log_sf_inverse(m, level[order]), batch[order])
+        for i in (0, 57, 199):
+            assert erlang_log_sf_inverse(m, level[i]) == batch[i]
+            assert erlang_log_sf_inverse(m, level[i : i + 1])[0] == batch[i]
+
+    def test_kernel_calls(self, monkeypatch):
+        calls = 0
+        kernel = special.erlang_log_sf
+
+        def counted(m, x):
+            nonlocal calls
+            calls += 1
+            return kernel(m, x)
+
+        monkeypatch.setattr(special, "erlang_log_sf", counted)
+        level = log1mexp(np.random.default_rng(4).standard_exponential(2000) / 4.0)
+        erlang_log_sf_inverse(3, level)
+        assert calls <= 12  # 10 at width 1e-12; a width of 4e-16 took 60
+
+    def test_log1mexp(self):
+        a = np.array([0.0, 1e-300, 1e-10, math.log(2.0), 1.0, 40.0, 800.0])
+        want = [-math.inf, math.log(1e-300), math.log(-math.expm1(-1e-10)),
+                -math.log(2.0), math.log(-math.expm1(-1.0)), -math.exp(-40.0), 0.0]
+        got = log1mexp(a)
+        assert got[0] == -math.inf
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2, 41, 10**6])
+    def test_start_is_below_the_crossing(self, m):
+        level = -np.geomspace(1e-300, 700.0, 200)
+        assert (erlang_log_sf(m, below_crossing(m, level)) > level).all()
 
 
 class TestErlangCdf:
