@@ -64,8 +64,8 @@ def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
     again if 200 steps leave it wide, as where g is flat to its last digit
     over the bracket.
 
-    ``level`` and x are floats, which give floats, or arrays, which broadcast
-    together and give arrays of that shape.  Every element doubles until its
+    ``level`` and x are floats, which give floats, or arrays of one shape,
+    which give arrays of that shape.  Every element doubles until its
     own g has changed side, then steps until its own bracket is narrow, and
     is not evaluated again once it is done.  Each round calls g once, on a
     1-d array of the points still searching; g and slope must act element by
@@ -76,16 +76,14 @@ def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
     landing on one side and each step only bisects.  A relative error e in
     ln sf moves its crossing by at most e relative, e |level| / (x hazard),
     because the Erlang hazard increases.  A 2000-level
-    ``erlang_log_sf_inverse`` at (3, 4) takes 10 g calls at any width from
-    1e-12 down to 2e-15, and 60 at 4e-16, two ulps; it uses 1e-12, above
-    ``erlang_log_sf``'s stated accuracy, and one more Newton step.
+    ``erlang_log_sf_inverse`` at (3, 4) takes 10 kernel calls at any width
+    from 1e-12 down to 2e-15, and 62 at 4e-16, two ulps; it uses 1e-12,
+    above ``erlang_log_sf``'s stated accuracy, and one more Newton step.
     """
-    shape = np.broadcast(level, x).shape
-    level, x = (
-        np.array(np.broadcast_to(a, shape), dtype=np.float64).reshape(-1)
-        for a in (level, x)
-    )
-    gx = np.array(np.broadcast_to(g(x.copy()), x.shape), dtype=np.float64)
+    shape = np.shape(x)
+    level = np.array(level, dtype=np.float64).reshape(-1)
+    x = np.array(x, dtype=np.float64).reshape(-1)
+    gx = np.full(x.shape, g(x.copy()), dtype=np.float64)
     start_side = gx > level
     prev, g_prev = x.copy(), gx.copy()
     moving = np.arange(x.size)  # the elements still doubling
@@ -440,14 +438,15 @@ def erlang_log_sf_inverse(m: int, level):
     it has too few digits to resolve the crossing.
 
     The search runs on ln(-ln sf), the log of the cumulative hazard, which
-    rises like m ln x far below the mode and like ln x far above it, so that
+    rises like m ln x far below the mode and like ln x far above it, so
     Newton converges fast at every level; on ln sf itself each step far
-    below the mode gains only one e-fold of sf.  A ``newton_bracket`` of
-    relative width 1e-12, started at ``below_crossing``, then one Newton
-    step from its midpoint, kept inside the bracket: its error is quadratic
-    in the midpoint's, so x is as accurate as the kernel and its rounding
-    allow.  That matters where x hazard(x) is large: at m = 1e6 near the
-    mode it is about 1000, so a relative 1e-15 of x moves ln sf by 1e-12.
+    below the mode gains only about one e-fold of F_m.  It takes a
+    ``newton_bracket`` of relative width 1e-12, started at
+    ``below_crossing``, then one Newton step from its midpoint, kept inside
+    the bracket: that step's error is quadratic in the midpoint's, so x is as
+    accurate as the kernel and its rounding allow.  That matters where
+    x hazard(x) is large: at m = 1e6 it is 800 at the mode, so a relative
+    1e-15 of x moves ln sf by 8e-13.
     """
     m = _check_shape(m)
     level = np.array(level, dtype=np.float64)

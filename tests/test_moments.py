@@ -225,6 +225,15 @@ class TestCrossing:
         assert -lo * lo > -10.0 >= -hi * hi
         assert hi - lo <= 1e-9 * hi
 
+    def test_gives_up_when_the_steps_only_creep(self):
+        # g reaches the level at x = 5 and stays on it, and the slope claims
+        # it keeps falling: each Newton step from the right end moves by the
+        # quarter-width nudge alone, so the search stops with an error
+        # instead of creeping across the bracket
+        with pytest.raises(NumericError, match="flat"):
+            g = lambda x: -np.minimum(x, 5.0)
+            newton_bracket(g, lambda x, _: -1.0, -5.0, 1.0, 1e18, "flat")
+
     def test_array_elements_search_on_their_own(self):
         # Each element's bracket equals its scalar search, whatever the
         # batch: levels needing 1 to 40 doublings and different step counts
@@ -239,9 +248,10 @@ class TestCrossing:
             )
         lo2, hi2 = newton_bracket(g, slope, levels[::-1], starts[::-1], 1e18, "unused")
         assert np.array_equal(lo2, lo[::-1]) and np.array_equal(hi2, hi[::-1])
-        # a scalar level broadcasts against an array of starts
-        lo3, _ = newton_bracket(g, slope, -10.0, np.array([[1.0, 2.0]]), 1e18, "unused")
-        assert lo3.shape == (1, 2)
+        square = (levels.reshape(3, 3), starts.reshape(3, 3))
+        lo3, hi3 = newton_bracket(g, slope, *square, 1e18, "unused")
+        assert np.array_equal(lo3, lo.reshape(3, 3))
+        assert np.array_equal(hi3, hi.reshape(3, 3))
 
     def test_gives_up_past_the_limit(self):
         with pytest.raises(NumericError, match="search diverged"):
