@@ -114,9 +114,12 @@ def _run_reps(worker, reps: int) -> list:
     return [item for part in parts for item in part]
 
 
-# Replications inverted per erlang_log_sf_inverse call: its temporaries
-# peak near 1.2 KB per element, so about 10 MB per block whatever reps is.
-_INVERSE_BLOCK = 8192
+# Replications per erlang_log_sf_inverse call.  The kernel's largest
+# temporaries hold 63 terms per element, so 256 elements keep each below
+# 128 KiB: memory stays small whatever reps is, and no freed block raises
+# glibc's mmap threshold, which would change how fast later, unrelated
+# allocations in the process run.
+_INVERSE_BLOCK = 256
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)
 
 
