@@ -155,6 +155,8 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
         e = np.array(_run_reps(draw, config.reps))
         return SampleBatch(config=config, delta_values=_delta_from_exponential(m, n, e))
 
+    keep_delta = mode == MODE_COUPLED
+
     def worker(rep: int) -> tuple[int, float]:
         rng = _rep_rng(config.seed, rep)
         g = rng.standard_gamma(m, size=n)
@@ -165,7 +167,7 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
     return SampleBatch(
         config=config,
         d_values=np.array(d, dtype=np.int64),
-        delta_values=np.array(delta) if mode == MODE_COUPLED else None,
+        delta_values=np.array(delta, dtype=np.float64) if keep_delta else None,
     )
 
 
@@ -182,8 +184,8 @@ def sample_poissonized(config: SimConfig) -> SampleBatch:
     standard exponential E from its stream and returns the Delta with
     F_m(Delta/n)^n = e^-E, exact to the accuracy of ``erlang_log_sf``.  Each
     replication costs O(1) time and memory at every (m, n), n = 1e12
-    included: one stream set-up, one draw, and its share of one
-    element-wise ``erlang_log_sf_inverse`` call for the whole batch.  The
+    included: one stream set-up, one draw, and its share of an element-wise
+    ``erlang_log_sf_inverse`` call on 256 replications at a time.  The
     values differ from the Delta column of ``sample_coupled`` at the same
     seed; only the laws agree.
     """
