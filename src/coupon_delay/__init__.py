@@ -14,7 +14,6 @@ from .limit_laws import (
     Critical,
     FixedM,
     FixedN,
-    GumbelWithLogShift,
     MaxOfNormals,
     Normalization,
     Regime,
@@ -23,7 +22,6 @@ from .limit_laws import (
     Target,
     critical_constant,
     derive_b,
-    limit_cdf,
     normalization,
     target_cdf,
 )
@@ -56,12 +54,9 @@ from .simulate import (
     write_samples_csv,
 )
 from .special import (
-    berry_esseen_gap,
-    erlang_cdf,
     erlang_log_sf,
     gumbel_cdf,
     normal_cdf,
-    partial_exp_sum,
     tricomi_log_sf,
 )
 

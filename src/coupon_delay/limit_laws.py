@@ -10,8 +10,8 @@ packet count m scales with the user count n:
 
 Each regime comes with an affine map d -> (d - center)/scale.  The centers
 here absorb the regime constant, so the normalized statistic targets the
-*standard* Gumbel; ``limit_cdf`` exposes the equivalent unabsorbed
-presentation exp(-c e^{-y}) for use with bare centerings.
+*standard* Gumbel: the paper's unabsorbed presentation exp(-c e^{-y}) of a
+Gumbel limit is the standard Gumbel at y - ln c.
 """
 
 from __future__ import annotations
@@ -32,13 +32,11 @@ __all__ = [
     "FixedN",
     "Regime",
     "StandardGumbel",
-    "GumbelWithLogShift",
     "MaxOfNormals",
     "Target",
     "Normalization",
     "normalization",
     "critical_constant",
-    "limit_cdf",
     "target_cdf",
     "derive_b",
 ]
@@ -88,18 +86,11 @@ class StandardGumbel:
 
 
 @dataclass(frozen=True)
-class GumbelWithLogShift:
-    """Gumbel CDF evaluated at y - shift, i.e. exp(-e^{shift} e^{-y})."""
-
-    shift: float
-
-
-@dataclass(frozen=True)
 class MaxOfNormals:
     n: int
 
 
-Target = Union[StandardGumbel, GumbelWithLogShift, MaxOfNormals]
+Target = Union[StandardGumbel, MaxOfNormals]
 
 
 @dataclass(frozen=True)
@@ -191,41 +182,10 @@ def target_cdf(target: Target, y):
     """CDF of a normalization target, vectorized over y."""
     y_arr = np.asarray(y, dtype=np.float64)
     if isinstance(target, StandardGumbel):
-        out = _gumbel_arr(y_arr)
-    elif isinstance(target, GumbelWithLogShift):
-        out = _gumbel_arr(y_arr - target.shift)
+        with np.errstate(over="ignore"):
+            out = np.exp(-np.exp(-y_arr))
     elif isinstance(target, MaxOfNormals):
         out = (normal_cdf(np.atleast_1d(y_arr)) ** target.n).reshape(y_arr.shape)
     else:
         raise TypeError(f"unknown target {target!r}")
     return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
-
-
-def _gumbel_arr(y: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.exp(-np.exp(-y))
-
-
-def limit_cdf(regime: Regime, y) -> float:
-    """Predicted limiting CDF in its unabsorbed presentation.
-
-    Fixed m:        exp(-e^{-y}/(m-1)!)
-    supercritical:  exp(-e^{-y}/(2 sqrt(pi)))
-    critical:       exp(-(sqrt(beta)/(sqrt(2 pi)(alpha-beta))) e^{-y})
-    fixed n:        Phi(y)^n
-
-    The Gumbel cases equal the standard Gumbel under the constant-absorbing
-    normalizations returned by ``normalization``.
-    """
-    if isinstance(regime, FixedM):
-        return target_cdf(GumbelWithLogShift(-math.lgamma(regime.m)), y)
-    if isinstance(regime, Supercritical):
-        return target_cdf(GumbelWithLogShift(-_LOG_2SQRTPI), y)
-    if isinstance(regime, Critical):
-        alpha = solve_alpha(regime.beta).alpha
-        return target_cdf(
-            GumbelWithLogShift(-critical_constant(alpha, regime.beta)), y
-        )
-    if isinstance(regime, FixedN):
-        return target_cdf(MaxOfNormals(regime.n), y)
-    raise TypeError(f"unknown regime {regime!r}")

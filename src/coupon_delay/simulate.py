@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .limit_laws import Regime, normalization, target_cdf
+from .limit_laws import Normalization, Regime, normalization, target_cdf
 from .moments import ProblemSize
 from .special import erlang_log_sf_inverse, is_integer, log1mexp
 
@@ -80,6 +80,7 @@ class KSReport:
     statistic: float
     reps: int
     regime: Regime
+    normalization: Normalization
 
 
 def _worker_count() -> int:
@@ -223,7 +224,7 @@ def ks_distance(batch: SampleBatch, regime: Regime) -> KSReport:
     y = np.sort(norm.apply(values))
     model = np.asarray(target_cdf(norm.target, y), dtype=np.float64)
     return KSReport(
-        statistic=ks_statistic(y, model), reps=len(y), regime=regime
+        statistic=ks_statistic(y, model), reps=len(y), regime=regime, normalization=norm
     )
 
 

@@ -20,12 +20,9 @@ import numpy as np
 from .errors import NumericError
 
 __all__ = [
-    "partial_exp_sum",
     "erlang_log_sf",
-    "erlang_cdf",
     "tricomi_log_sf",
     "normal_cdf",
-    "berry_esseen_gap",
     "gumbel_cdf",
 ]
 
@@ -136,23 +133,6 @@ def _check_shape(m) -> int:
     if not is_integer(m) or m < 1:
         raise ValueError(f"Erlang shape must be an integer >= 1, got {m!r}")
     return int(m)
-
-
-def partial_exp_sum(m: int, y: float) -> float:
-    """Partial sum S_m(y) = 1 + y + y^2/2! + ... + y^(m-1)/(m-1)!.
-
-    Overflows for large m*y by design; tail computations must go through
-    ``erlang_log_sf`` instead.
-    """
-    m = _check_shape(m)
-    if y < 0:
-        raise ValueError("y must be nonnegative")
-    total = 1.0
-    term = 1.0
-    for k in range(1, m):
-        term *= y / k
-        total += term
-    return total
 
 
 # Shapes up to _FINITE_SUM_MAX_SHAPE split at x = m: below it the ascending
@@ -481,11 +461,6 @@ def erlang_log_sf_inverse(m: int, level):
     return float(out[0]) if level.ndim == 0 else out.reshape(level.shape)
 
 
-def erlang_cdf(m: int, x: float) -> float:
-    """P{Erlang(m, 1) <= x}, clamped to [0, 1]."""
-    return min(1.0, max(0.0, -math.expm1(erlang_log_sf(m, x))))
-
-
 def tricomi_log_sf(m: int, x: float) -> float:
     """Asymptotic approximation of ``erlang_log_sf`` for x well above m.
 
@@ -524,13 +499,6 @@ def normal_cdf(u):
     0.5 * math.erfc(-u / sqrt(2))."""
     value = 0.5 * _erfc(-np.asarray(u, dtype=np.float64) / _SQRT2)
     return float(value) if np.ndim(value) == 0 else value
-
-
-def berry_esseen_gap(m: int, x: float) -> float:
-    """|P{Erlang(m,1) > x} - Phi((m - x)/sqrt(m))|, a CLT diagnostic."""
-    m = _check_shape(m)
-    sf = 1.0 if x <= 0 else math.exp(erlang_log_sf(m, x))
-    return abs(sf - normal_cdf((m - x) / math.sqrt(m)))
 
 
 def gumbel_cdf(y: float) -> float:

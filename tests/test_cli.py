@@ -6,6 +6,7 @@ import sys
 import jsonschema
 import pytest
 
+from coupon_delay import alpha, cli, limit_laws, moments
 from coupon_delay.cli import OUTPUT_RECORD_SCHEMA, main
 
 
@@ -13,6 +14,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def record_alpha_solves(monkeypatch):
+    """The beta of every solve_alpha call, wherever the CLI reaches it."""
+    betas = []
+
+    def recorded(beta):
+        betas.append(beta)
+        return alpha.solve_alpha(beta)
+
+    for module in (cli, limit_laws, moments):
+        monkeypatch.setattr(module, "solve_alpha", recorded)
+    return betas
 
 
 def last_json(stdout):
@@ -78,6 +92,15 @@ class TestMomentsCommand:
         assert len(lines) == 3
         ratio = float(lines[1].split(",")[7])
         assert 0.8 <= ratio <= 1.1
+
+    def test_one_alpha_solve_for_every_order(self, capsys, monkeypatch):
+        betas = record_alpha_solves(monkeypatch)
+        code, out, _ = run_cli(
+            capsys,
+            "moments", "--m", "9", "--n", "100", "--orders", "1,2,3", "--beta", "1",
+        )
+        assert code == 0
+        assert betas == [1.0]
 
     def test_rows_follow_the_given_order(self, capsys):
         code, out, _ = run_cli(capsys, "moments", "--m", "2", "--n", "3", "--orders", "3,1,2")
@@ -187,6 +210,17 @@ class TestLimitCheckCommand:
         results = last_json(out)["results"]
         assert results["alpha"] == pytest.approx(4.71535, abs=1e-4)
         assert abs(results["b"]) <= 1e-4
+
+    def test_critical_solves_alpha_twice(self, capsys, monkeypatch):
+        # once for the normalization, once for the reported alpha
+        betas = record_alpha_solves(monkeypatch)
+        code, _, _ = run_cli(
+            capsys,
+            "limit-check", "--regime", "critical", "--m", "20", "--n", "22026",
+            "--beta", "2", "--reps", "50", "--seed", "5",
+        )
+        assert code == 0
+        assert betas == [2.0, 2.0]
 
 
 class TestProcessLevel:

@@ -8,13 +8,11 @@ from coupon_delay.limit_laws import (
     Critical,
     FixedM,
     FixedN,
-    GumbelWithLogShift,
     MaxOfNormals,
     StandardGumbel,
     Supercritical,
     critical_constant,
     derive_b,
-    limit_cdf,
     normalization,
     target_cdf,
 )
@@ -135,35 +133,37 @@ class TestCriticalConstant:
 
 
 class TestLimitCdf:
-    def test_fixed_m_single(self):
-        assert limit_cdf(FixedM(1), 0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    """The paper's limit laws, in their unabsorbed presentations
+    exp(-c e^{-y}), are the standard Gumbel at y + ln(1/c)."""
 
     def test_fixed_m_unabsorbed_form(self):
-        for m in (2, 3, 5):
+        for m in (1, 2, 3, 5):
             for y in (-1.0, 0.0, 2.0):
                 expected = math.exp(-math.exp(-y) / math.factorial(m - 1))
-                assert limit_cdf(FixedM(m), y) == pytest.approx(expected, rel=1e-13)
+                got = gumbel_cdf(y + math.lgamma(m))
+                assert got == pytest.approx(expected, rel=1e-13)
 
     def test_supercritical_at_zero(self):
         expected = math.exp(-1.0 / (2 * math.sqrt(math.pi)))
-        assert limit_cdf(Supercritical(), 0.0) == pytest.approx(expected, rel=1e-13)
+        assert gumbel_cdf(LOG_2SQRTPI) == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(0.754, abs=1e-3)
 
     def test_critical_at_zero(self):
         alpha = solve_alpha(1.0).alpha
         coeff = math.sqrt(1.0) / (math.sqrt(2 * math.pi) * (alpha - 1.0))
-        assert limit_cdf(Critical(1.0), 0.0) == pytest.approx(
-            math.exp(-coeff), rel=1e-13
-        )
-        assert limit_cdf(Critical(1.0), 0.0) == pytest.approx(0.8304, abs=2e-4)
+        got = gumbel_cdf(critical_constant(alpha, 1.0))
+        assert got == pytest.approx(math.exp(-coeff), rel=1e-13)
+        assert got == pytest.approx(0.8304, abs=2e-4)
 
     @pytest.mark.parametrize(
         "regime",
         [FixedM(2), Supercritical(), Critical(2.0), FixedN(3)],
     )
     def test_is_valid_cdf(self, regime):
+        # the law each regime's normalization targets, at n = 3
+        target = normalization(regime, 2, 3).target
         ys = np.linspace(-10.0, 10.0, 201)
-        vals = [limit_cdf(regime, float(y)) for y in ys]
+        vals = [target_cdf(target, float(y)) for y in ys]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[0] <= 1e-6
@@ -180,7 +180,6 @@ class TestLimitCdf:
             for y in np.linspace(-3, 6, 19):
                 bare = math.exp(-coeff * math.exp(-y))
                 assert abs(bare - gumbel_cdf(y + const)) <= 1e-12
-                assert abs(bare - limit_cdf(Critical(beta), float(y))) <= 1e-12
 
     def test_supercritical_presentations_agree(self):
         for y in np.linspace(-3, 6, 19):
@@ -228,11 +227,6 @@ class TestTargetCdf:
         ys = np.array([-2.0, 0.0, 3.0])
         got = target_cdf(StandardGumbel(), ys)
         assert np.allclose(got, np.exp(-np.exp(-ys)), rtol=1e-14)
-
-    def test_shifted_gumbel(self):
-        assert target_cdf(GumbelWithLogShift(1.0), 1.0) == pytest.approx(
-            math.exp(-1.0), rel=1e-14
-        )
 
     def test_max_of_normals(self):
         assert target_cdf(MaxOfNormals(3), 0.0) == pytest.approx(0.125, rel=1e-12)

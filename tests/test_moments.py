@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coupon_delay import moments
-from coupon_delay.errors import NumericError
+from coupon_delay.errors import NumericError, QuadratureError
 from coupon_delay.limit_laws import Critical, FixedM, FixedN, Supercritical
 from coupon_delay.moments import (
     ProblemSize,
@@ -49,10 +49,6 @@ class TestQuadratureConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=0.5)
         QuadratureConfig(rel_tol=1e-2)  # boundary allowed
-
-    def test_tail_threshold_sign(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(tail_log_threshold=1.0)
 
 
 class TestDeltaPowerMoment:
@@ -102,6 +98,14 @@ class TestDeltaPowerMoment:
 
     def test_method_tag(self):
         assert mean_delay(ProblemSize(1, 2)).method == "quadrature"
+
+    def test_panel_cap_raises_with_the_estimate(self):
+        # A step at 1/3, never a panel edge, keeps its panel's error up
+        step = lambda x: (x > 1.0 / 3.0).astype(float)
+        with pytest.raises(QuadratureError) as info:
+            moments._adaptive_gauss(step, 0.0, 1.0, 1e-9, 16)
+        assert info.value.abs_err > 1e-9 * info.value.value
+        assert abs(info.value.value - 2.0 / 3.0) <= info.value.abs_err
 
 
 class TestRisingMoment:
@@ -176,7 +180,7 @@ class TestRisingMoments:
         mp = pytest.importorskip("mpmath")
         ps = ProblemSize(m, n)
         got = rising_moments(ps, [1])[0]
-        x_front, x_tail = moments._tail_window(ps, QuadratureConfig())
+        x_front, x_tail = moments._tail_window(ps)
         with mp.workdps(30):
             inside = mp.quad(
                 lambda x: 1 - (1 - mp.gammainc(m, x, mp.inf, regularized=True)) ** n,
@@ -266,7 +270,7 @@ class TestTailWindow:
     def test_brackets_both_levels(self, m, n):
         # Each end lies on its side of its level and within 1e-9 of the
         # crossing; at n = 60 the front crossing lies below m.
-        x_front, x_tail = moments._tail_window(ProblemSize(m, n), QuadratureConfig())
+        x_front, x_tail = moments._tail_window(ProblemSize(m, n))
         front_level = math.log(45.0) - math.log(n)
         if front_level < 0.0:
             assert erlang_log_sf(m, x_front) >= front_level
@@ -276,13 +280,6 @@ class TestTailWindow:
         tail_level = math.log(1e-16 / n)
         assert erlang_log_sf(m, x_tail) <= tail_level
         assert erlang_log_sf(m, x_tail * (1.0 - 1.000001e-9)) > tail_level
-
-    @pytest.mark.parametrize("m", [1, 1000])
-    def test_tail_level_below_the_median(self, m):
-        cfg = QuadratureConfig(tail_log_threshold=-0.1)
-        _, x_tail = moments._tail_window(ProblemSize(m, 10), cfg)
-        assert erlang_log_sf(m, x_tail) <= -0.1
-        assert erlang_log_sf(m, x_tail * (1.0 - 1.000001e-9)) > -0.1
 
     def test_kernel_calls(self, monkeypatch):
         calls = 0
@@ -294,7 +291,7 @@ class TestTailWindow:
             return kernel(m, x)
 
         monkeypatch.setattr(moments, "erlang_log_sf", counted)
-        moments._tail_window(ProblemSize(5, 1000), QuadratureConfig())
+        moments._tail_window(ProblemSize(5, 1000))
         assert calls <= 20  # bisection took 66
 
 
@@ -333,6 +330,26 @@ class TestMgf:
         for z in (-2.0, -1.0, 0.25):
             direct = sum(2.0 ** (1 - k) * (1.0 - z) ** -k for k in range(2, 400))
             assert mgf_delta(ProblemSize(1, 2), z) == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (2, 8)])
+    def test_negative_z_against_exact_chain(self, m, n):
+        # E[(1 - z)^{-D}] from the exact law of D, down to 1e-38 at k = 1000
+        ps = ProblemSize(m, n)
+        dist = exact_dist_small(ps)
+        for k in (1, 10, 100, 1000):
+            z = -k / n
+            want = float(np.dot(dist.pmf, np.exp(-dist.support * math.log1p(-z))))
+            assert abs(mgf_delta(ps, z) - want) <= 1e-8 * want
+
+    def test_far_negative_z_never_reads_one(self):
+        # Past the resolved range the value falls to 0 (exact: 9e-23, 9e-29
+        # and 9e-35), where 1 + z n Int [1 - F^n] e^{n z t} dt read 1 at k = 1e6
+        for k in (1e4, 1e5, 1e6):
+            try:
+                value = mgf_delta(ProblemSize(2, 3), -k / 3)
+            except NumericError:
+                continue
+            assert 0.0 <= value <= 1e-20
 
     def test_unreachable_tail_raises(self):
         with pytest.raises(NumericError):

@@ -9,35 +9,28 @@ from hypothesis import strategies as st
 from coupon_delay import special
 from coupon_delay.special import (
     below_crossing,
-    berry_esseen_gap,
-    erlang_cdf,
     erlang_log_sf,
     erlang_log_sf_inverse,
     gumbel_cdf,
     log1mexp,
     normal_cdf,
-    partial_exp_sum,
     tricomi_log_sf,
 )
 
 
-class TestPartialExpSum:
-    def test_single_term(self):
-        assert partial_exp_sum(1, 7.3) == 1.0
+def _partial_exp_sum(m, y):
+    """S_m(y) = 1 + y + ... + y^(m-1)/(m-1)!, summed directly."""
+    return sum(y**k / math.factorial(k) for k in range(m))
 
-    def test_zero_argument(self):
-        assert partial_exp_sum(4, 0.0) == 1.0
 
-    def test_three_terms(self):
-        assert partial_exp_sum(3, 2.0) == pytest.approx(5.0, rel=1e-14)
+def _erlang_cdf(m, x):
+    """P{Erlang(m, 1) <= x} from the log survival function."""
+    return -math.expm1(erlang_log_sf(m, x))
 
-    def test_rejects_zero_shape(self):
-        with pytest.raises(ValueError):
-            partial_exp_sum(0, 1.0)
 
-    def test_rejects_negative_argument(self):
-        with pytest.raises(ValueError):
-            partial_exp_sum(2, -0.5)
+def _clt_gap(m, x):
+    """|P{Erlang(m, 1) > x} - Phi((m - x)/sqrt(m))|, x >= 0."""
+    return abs(math.exp(erlang_log_sf(m, x)) - normal_cdf((m - x) / math.sqrt(m)))
 
 
 class TestErlangLogSf:
@@ -80,7 +73,7 @@ class TestErlangLogSf:
         # exp(log_sf) == S_m(x) e^-x wherever the right side is evaluable
         for m in (1, 2, 5, 13, 30):
             for x in (0.25, 1.0, 4.0, 11.5, 30.0):
-                direct = partial_exp_sum(m, x) * math.exp(-x)
+                direct = _partial_exp_sum(m, x) * math.exp(-x)
                 assert math.exp(erlang_log_sf(m, x)) == pytest.approx(
                     direct, rel=1e-10
                 )
@@ -231,19 +224,19 @@ class TestErlangLogSfInverse:
 
 class TestErlangCdf:
     def test_at_zero(self):
-        assert erlang_cdf(1, 0.0) == 0.0
+        assert _erlang_cdf(1, 0.0) == 0.0
 
     def test_median_of_exponential(self):
-        assert erlang_cdf(1, math.log(2.0)) == pytest.approx(0.5, rel=1e-14)
+        assert _erlang_cdf(1, math.log(2.0)) == pytest.approx(0.5, rel=1e-14)
 
     def test_shape_three(self):
         expected = 1.0 - math.exp(-3.0) * (1.0 + 3.0 + 4.5)
-        assert erlang_cdf(3, 3.0) == pytest.approx(expected, rel=1e-12)
+        assert _erlang_cdf(3, 3.0) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 50])
     def test_valid_cdf_on_grid(self, m):
         xs = np.linspace(0.0, 10.0 * m, 200)
-        vals = [erlang_cdf(m, float(x)) for x in xs]
+        vals = [_erlang_cdf(m, float(x)) for x in xs]
         assert vals[0] == 0.0
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -289,16 +282,16 @@ class TestNormalCdf:
 
 class TestBerryEsseen:
     def test_shape_one_at_zero(self):
-        assert berry_esseen_gap(1, 0.0) == pytest.approx(1.0 - normal_cdf(1.0), abs=1e-12)
+        assert _clt_gap(1, 0.0) == pytest.approx(1.0 - normal_cdf(1.0), abs=1e-12)
 
     def test_gap_shrinks_with_shape(self):
-        assert berry_esseen_gap(100, 100.0) <= 0.1
-        assert berry_esseen_gap(10**4, 10**4) <= 0.01
+        assert _clt_gap(100, 100.0) <= 0.1
+        assert _clt_gap(10**4, 10**4) <= 0.01
 
     @pytest.mark.parametrize("m", [100, 400, 2500, 10**4])
     def test_empirical_clt_bound(self, m):
         xs = m + math.sqrt(m) * np.linspace(-4.0, 4.0, 17)
-        worst = max(berry_esseen_gap(m, float(x)) for x in xs)
+        worst = max(_clt_gap(m, float(x)) for x in xs)
         assert worst <= 1.0 / math.sqrt(m)
 
 
