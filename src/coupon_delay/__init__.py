@@ -9,7 +9,7 @@ by reproducible Monte Carlo.
 """
 
 from .alpha import AlphaSolution, bridging_gap, solve_alpha
-from .errors import NumericError, QuadratureError
+from .errors import NumericError
 from .limit_laws import (
     Critical,
     FixedM,

@@ -3,15 +3,3 @@
 
 class NumericError(ArithmeticError):
     """A numerical routine failed to reach its accuracy or iteration target."""
-
-
-class QuadratureError(NumericError):
-    """Adaptive quadrature could not meet the requested tolerance.
-
-    Carries the best available estimate so callers can inspect it.
-    """
-
-    def __init__(self, message, value, abs_err):
-        super().__init__(message)
-        self.value = value
-        self.abs_err = abs_err

@@ -18,7 +18,7 @@ import numpy as np
 
 from .limit_laws import Normalization, Regime, normalization, target_cdf
 from .moments import ProblemSize
-from .special import erlang_log_sf_inverse, is_integer, log1mexp
+from .special import delta_from_exponential, is_integer
 
 __all__ = [
     "MODE_DISCRETE",
@@ -115,27 +115,6 @@ def _run_reps(worker, reps: int) -> list:
     return [item for part in parts for item in part]
 
 
-# Replications per erlang_log_sf_inverse call.  The kernel's largest
-# temporaries hold 63 terms per element, so 256 elements keep each below
-# 128 KiB: memory stays small whatever reps is, and no freed block raises
-# glibc's mmap threshold, which would change how fast later, unrelated
-# allocations in the process run.
-_INVERSE_BLOCK = 256
-_LOG_TINY = math.log(np.finfo(np.float64).tiny)
-
-
-def _delta_from_exponential(m: int, n: int, e: np.ndarray) -> np.ndarray:
-    """Delta with P{Delta <= Delta_i} = F_m(Delta_i / n)^n = e^-E_i for each
-    standard exponential E_i, so Delta has the law of n times the largest of
-    n Gamma(m, 1) variables: Delta = n x with ln sf_m(x) = ln(1 - e^(-E/n)).
-    That level is floored at the log of the smallest normal double, so E = 0,
-    whose Delta is infinite, gives a finite one."""
-    level = np.maximum(log1mexp(e / n), _LOG_TINY)
-    blocks = range(0, len(level), _INVERSE_BLOCK)
-    x = [erlang_log_sf_inverse(m, level[i : i + _INVERSE_BLOCK]) for i in blocks]
-    return n * np.concatenate(x)
-
-
 def _sample(config: SimConfig, mode: str) -> SampleBatch:
     """The one generator behind every mode; the mode picks the columns kept.
 
@@ -154,7 +133,7 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
     if mode == MODE_POISSONIZED:
         draw = lambda rep: _rep_rng(config.seed, rep).standard_exponential()
         e = np.array(_run_reps(draw, config.reps))
-        return SampleBatch(config=config, delta_values=_delta_from_exponential(m, n, e))
+        return SampleBatch(config=config, delta_values=delta_from_exponential(m, n, e))
 
     keep_delta = mode == MODE_COUPLED
 

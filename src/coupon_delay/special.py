@@ -5,8 +5,8 @@ Erlang survival function is needed in log scale for shapes up to 1e6 and
 abscissas up to 1e7, far past where a naive evaluation of the partial
 exponential sum S_m(x) e^{-x} under- or overflows, and at large shapes
 even m ln x - x - lgamma(m) loses nine digits to cancellation.
-``erlang_log_sf`` takes a whole array of abscissas per call (quadrature
-evaluates a Gauss panel at once) and is accurate to a relative 1e-12
+``erlang_log_sf`` takes a whole array of abscissas per call (its inverse
+solves a block of 256 levels at once) and is accurate to a relative 1e-12
 against mpmath at every shape; see its docstring.
 """
 
@@ -237,7 +237,7 @@ def _erfc(z):
 
 def _polyval(coef: np.ndarray, x):
     """sum_n coef[n] x^n for a NumPy float or, element by element, a 1-d
-    array: the powers come from one running product, which at panel sizes
+    array: the powers come from one running product, which at block sizes
     costs less than NumPy's pow or a Horner loop of ufunc calls."""
     powers = np.multiply.accumulate(x[..., None] * _ONES[: len(coef) - 1], axis=-1)
     return coef[0] + np.add.reduce(powers * coef[1:], axis=-1)
@@ -459,6 +459,28 @@ def erlang_log_sf_inverse(m: int, level):
         g = log_hazard_sum(mid)
         out[inner] = np.clip(mid + (log_target - g) / slope(mid, g), hi, lo)
     return float(out[0]) if level.ndim == 0 else out.reshape(level.shape)
+
+
+# Elements per erlang_log_sf_inverse call in delta_from_exponential.  The
+# kernel's largest temporaries hold 63 terms per element, so 256 elements
+# keep each below 128 KiB: memory stays small however many values are asked
+# for, and no freed block raises glibc's mmap threshold, which would change
+# how fast later, unrelated allocations in the process run.
+_INVERSE_BLOCK = 256
+_LOG_TINY = math.log(_TINY)
+
+
+def delta_from_exponential(m: int, n: int, e: np.ndarray) -> np.ndarray:
+    """Delta with P{Delta <= Delta_i} = F_m(Delta_i / n)^n = e^-E_i for each
+    E_i >= 0 of the 1-d array e, so a standard exponential E gives Delta the
+    law of n times the largest of n Gamma(m, 1) variables: Delta = n x with
+    ln sf_m(x) = ln(1 - e^(-E/n)).  That level is floored at the log of the
+    smallest normal double, so E = 0, whose Delta is infinite, gives a
+    finite one; Delta saturates once E/n falls below 2.2e-308."""
+    level = np.maximum(log1mexp(e / n), _LOG_TINY)
+    blocks = range(0, len(level), _INVERSE_BLOCK)
+    x = [erlang_log_sf_inverse(m, level[i : i + _INVERSE_BLOCK]) for i in blocks]
+    return n * np.concatenate(x)
 
 
 def tricomi_log_sf(m: int, x: float) -> float:

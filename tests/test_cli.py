@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -229,6 +230,9 @@ class TestProcessLevel:
             [sys.executable, "-m", "coupon_delay.cli", "alpha", "--beta", "2"],
             capture_output=True,
             text=True,
+            # the child imports the package from where this process does,
+            # whether PYTHONPATH or pytest's pythonpath setting put it there
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         )
         assert proc.returncode == 0
         record = json.loads(proc.stdout)

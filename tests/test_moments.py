@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from coupon_delay import moments
-from coupon_delay.errors import NumericError, QuadratureError
+from coupon_delay import moments, special
+from coupon_delay.errors import NumericError
 from coupon_delay.limit_laws import Critical, FixedM, FixedN, Supercritical
 from coupon_delay.moments import (
     ProblemSize,
@@ -20,7 +21,7 @@ from coupon_delay.moments import (
     rising_moments,
     variance_delay,
 )
-from coupon_delay.special import erlang_log_sf, newton_bracket
+from coupon_delay.special import delta_from_exponential, newton_bracket
 
 
 def harmonic_mean_delay(n):
@@ -49,6 +50,14 @@ class TestQuadratureConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=0.5)
         QuadratureConfig(rel_tol=1e-2)  # boundary allowed
+
+    def test_rel_tol_below_the_rounding_floor_raises(self):
+        # abs_err includes a 1e-14 relative rounding floor, which no halving
+        # of the step removes
+        ps = ProblemSize(2, 3)
+        assert mean_delay(ps, QuadratureConfig(rel_tol=2e-14)).abs_err < 2e-14 * 10
+        with pytest.raises(NumericError, match="missed rel_tol"):
+            mean_delay(ps, QuadratureConfig(rel_tol=1e-15))
 
 
 class TestDeltaPowerMoment:
@@ -100,12 +109,16 @@ class TestDeltaPowerMoment:
         assert mean_delay(ProblemSize(1, 2)).method == "quadrature"
 
     def test_panel_cap_raises_with_the_estimate(self):
-        # A step at 1/3, never a panel edge, keeps its panel's error up
-        step = lambda x: (x > 1.0 / 3.0).astype(float)
-        with pytest.raises(QuadratureError) as info:
-            moments._adaptive_gauss(step, 0.0, 1.0, 1e-9, 16)
-        assert info.value.abs_err > 1e-9 * info.value.value
-        assert abs(info.value.value - 2.0 / 3.0) <= info.value.abs_err
+        # A box on (1/3, 2/3) is not analytic, so each halving of the step
+        # only halves the error, and the rule gives up after 6 halvings with
+        # its sum and last change in the message
+        box = lambda y, q: ((y > 1.0 / 3.0) & (y < 2.0 / 3.0)).astype(float)
+        with pytest.raises(NumericError, match="trapezoid sum") as info:
+            moments._trapezoid(ProblemSize(1, 1), box, 0.0, 0.25, 5, 1e-9, {})
+        found = re.findall(r"sum (\S+) .* by (\S+)", str(info.value))
+        total, moved = map(float, found[0])
+        assert moved > 1e-9 * total
+        assert abs(total - 1.0 / 3.0) <= moved
 
 
 class TestRisingMoment:
@@ -156,38 +169,62 @@ class TestRisingMoments:
         ]
 
     def test_shares_kernel_evaluations(self, monkeypatch):
-        # Counts abscissas, not calls: one call evaluates a whole panel.
-        points = 0
-        kernel = moments.erlang_log_sf
+        # Counts quantile nodes: orders 1 and 2 use a prefix of order 3's
+        nodes = 0
+        quantiles = moments.delta_from_exponential
 
-        def counted(m, x):
-            nonlocal points
-            points += np.size(x)
-            return kernel(m, x)
+        def counted(m, n, e):
+            nonlocal nodes
+            nodes += np.size(e)
+            return quantiles(m, n, e)
 
-        monkeypatch.setattr(moments, "erlang_log_sf", counted)
+        monkeypatch.setattr(moments, "delta_from_exponential", counted)
         ps = ProblemSize(5, 1000)
-        for r in (1, 2, 3):
-            rising_moment(ps, r)
-        separate, points = points, 0
+        rising_moment(ps, 3)
+        alone, nodes = nodes, 0
         rising_moments(ps, [1, 2, 3])
-        assert points <= 0.4 * separate
+        assert 0 < nodes <= alone
 
     @pytest.mark.parametrize("m, n", [(10**5, 100), (3 * 10**4, 10**3), (2000, 10**5)])
     def test_large_shape_mean_against_mpmath(self, m, n):
         # An independent oracle: n (x_front + Int 1 - (1 - Q(m, x))^n dx)
-        # over the same window, with mpmath's incomplete gamma at 30 digits.
+        # with mpmath's incomplete gamma at 30 digits, over the window where
+        # ln Q(m, x) falls from ln(45/n) (1 - F^n = 1 to 3e-20 below it) to
+        # ln(1e-16/n)
         mp = pytest.importorskip("mpmath")
         ps = ProblemSize(m, n)
         got = rising_moments(ps, [1])[0]
-        x_front, x_tail = moments._tail_window(ps)
         with mp.workdps(30):
+            log_sf = lambda x: mp.log(mp.gammainc(m, x, mp.inf, regularized=True))
+            bracket = (m - 10 * math.sqrt(m), m + 100 * math.sqrt(m))
+            x_front, x_tail = (
+                mp.findroot(
+                    lambda x: log_sf(x) - level, bracket, solver="bisect", verify=False
+                )
+                for level in (math.log(45.0 / n), math.log(1e-16 / n))
+            )
             inside = mp.quad(
                 lambda x: 1 - (1 - mp.gammainc(m, x, mp.inf, regularized=True)) ** n,
                 mp.linspace(x_front, x_tail, 9),
             )
             want = float(n * (x_front + inside))
         assert abs(got.value - want) <= got.abs_err + 1e-15 * abs(got.value)
+
+    @pytest.mark.parametrize("m, n, r", [(2, 3, 12), (2, 3, 20), (3, 10, 20)])
+    def test_high_orders_against_mpmath(self, m, n, r):
+        # r n^r Int_0^inf (1 - F_m(t)^n) t^(r-1) dt at 40 digits
+        mp = pytest.importorskip("mpmath")
+        got = rising_moment(ProblemSize(m, n), r)
+        with mp.workdps(40):
+            above = lambda t: -mp.expm1(
+                n * mp.log1p(-mp.gammainc(m, t, mp.inf, regularized=True))
+            )
+            inside = mp.quad(
+                lambda t: above(t) * t ** (r - 1), [0, 1, 3, 10, 20, 40, 80, mp.inf]
+            )
+            want = float(r * mp.mpf(n) ** r * inside)
+        assert abs(got.value - want) <= got.abs_err
+        assert abs(got.value - want) <= 1e-9 * got.value
 
     def test_validates_every_order(self):
         ps = ProblemSize(1, 2)
@@ -268,31 +305,28 @@ class TestTailWindow:
     @pytest.mark.parametrize("m", [1, 2, 40, 41, 1000, 10**6])
     @pytest.mark.parametrize("n", [1, 10, 60, 10**6])
     def test_brackets_both_levels(self, m, n):
-        # Each end lies on its side of its level and within 1e-9 of the
-        # crossing; at n = 60 the front crossing lies below m.
-        x_front, x_tail = moments._tail_window(ProblemSize(m, n))
-        front_level = math.log(45.0) - math.log(n)
-        if front_level < 0.0:
-            assert erlang_log_sf(m, x_front) >= front_level
-            assert erlang_log_sf(m, x_front * (1.0 + 1.000001e-9)) <= front_level
-        else:
-            assert x_front == 0.0
-        tail_level = math.log(1e-16 / n)
-        assert erlang_log_sf(m, x_tail) <= tail_level
-        assert erlang_log_sf(m, x_tail * (1.0 - 1.000001e-9)) > tail_level
+        # The moments' grid, y in [-4, 40 + 3 r], holds the mass of
+        # Q(y)^r exp(-y - e^-y): at both ends the integrand is below 1e-16
+        # of the moment, under the sum's rounding floor of 1e-14
+        ps = ProblemSize(m, n)
+        for r in (1, 3):
+            ends = np.array([-4.0, 40.0 + 3.0 * r])
+            q = delta_from_exponential(m, n, np.exp(-ends))
+            integrand = q**r * np.exp(-ends - np.exp(-ends))
+            assert (integrand <= 1e-16 * rising_moment(ps, r).value).all()
 
     def test_kernel_calls(self, monkeypatch):
         calls = 0
-        kernel = moments.erlang_log_sf
+        kernel = special.erlang_log_sf
 
         def counted(m, x):
             nonlocal calls
             calls += 1
             return kernel(m, x)
 
-        monkeypatch.setattr(moments, "erlang_log_sf", counted)
-        moments._tail_window(ProblemSize(5, 1000))
-        assert calls <= 20  # bisection took 66
+        monkeypatch.setattr(special, "erlang_log_sf", counted)
+        mean_delay(ProblemSize(5, 1000))
+        assert calls <= 20  # one Newton search over all 189 nodes
 
 
 class TestMeanDelay:
@@ -340,6 +374,20 @@ class TestMgf:
             z = -k / n
             want = float(np.dot(dist.pmf, np.exp(-dist.support * math.log1p(-z))))
             assert abs(mgf_delta(ps, z) - want) <= 1e-8 * want
+
+    @pytest.mark.parametrize(
+        "n, nz",
+        [(n, nz) for n in (10, 1000, 10**6) for nz in (-1.0, 0.3, 0.5, 0.9)]
+        + [(1000, -100.0), (50, -1000.0)],
+    )
+    def test_single_coverage_product(self, n, nz):
+        # m = 1: Delta = n sum_k E_k / k, so E[e^{z Delta}] = prod_k k / (k - n z),
+        # summed in logs so that nothing cancels; (1, 1e6) at n z = 0.9 is
+        # 2389685.198, and (50, -1000) is 8.7e-87
+        z = nz / n
+        k = np.arange(1.0, n + 1.0)
+        want = math.exp(-np.sum(np.log1p(-z * n / k)))
+        assert abs(mgf_delta(ProblemSize(1, n), z) - want) <= 1e-10 * want
 
     def test_far_negative_z_never_reads_one(self):
         # Past the resolved range the value falls to 0 (exact: 9e-23, 9e-29

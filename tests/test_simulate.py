@@ -23,7 +23,7 @@ from coupon_delay.simulate import (
     sample_poissonized,
     write_samples_csv,
 )
-from coupon_delay.special import gumbel_cdf
+from coupon_delay.special import delta_from_exponential, gumbel_cdf
 
 
 _SAMPLERS = {
@@ -151,7 +151,7 @@ class TestDeltaInversion:
         # E up to 8 covers all but 3.4e-4 of the law
         gammaincc = pytest.importorskip("scipy.special").gammaincc
         e = np.geomspace(1e-6, 8.0, 300)
-        delta = simulate._delta_from_exponential(m, n, e)
+        delta = delta_from_exponential(m, n, e)
         log_cdf_n = n * np.log1p(-gammaincc(m, delta / n))
         np.testing.assert_allclose(np.exp(log_cdf_n), np.exp(-e), rtol=1e-12)
 
@@ -165,7 +165,7 @@ class TestDeltaInversion:
 
     def test_zero_exponential_stays_finite(self):
         # E = 0 puts Delta at infinity; the level is floored instead
-        delta = simulate._delta_from_exponential(3, 10, np.array([0.0, 5e-324, 1e-300]))
+        delta = delta_from_exponential(3, 10, np.array([0.0, 5e-324, 1e-300]))
         assert np.isfinite(delta).all()
         assert delta[0] == delta[1] >= delta[2] > 0.0
 
