@@ -136,7 +136,7 @@ def _trapezoid(
     for level in range(1, _MAX_HALVINGS + 2):
         if not 0.0 < total < math.inf:
             raise NumericError(f"trapezoid sum {total} is not a positive double")
-        err = (total - coarse) ** 2 / total + _ROUNDING * total
+        err = (((total - coarse) / total) ** 2 + _ROUNDING) * total
         if err <= rel_tol * total:
             return float(total), float(err)
         if level > _MAX_HALVINGS or rel_tol < _ROUNDING:  # halving cannot help
@@ -250,6 +250,8 @@ def _mgf_peak(ps: ProblemSize, z: float):
     """
     m, n = ps.m, ps.n
     lo = max(float(below_crossing(m, log1mexp(700.0 / n))), _TINY)
+    if z * n * lo < _MGF_UNDERFLOW:  # g <= z n x - 1 for x >= lo, and < -693 below
+        return 0.0, 0.0, -math.inf, 0.0
     u_lo, u_hi = math.log(lo), math.log(m + 50.0 * math.sqrt(m) + 1500.0)
     for _ in range(_MAX_SCANS):
         x = np.exp(np.linspace(u_lo, u_hi, _SCAN_POINTS))
@@ -263,8 +265,7 @@ def _mgf_peak(ps: ProblemSize, z: float):
         y = -np.log(e[near])
         if np.count_nonzero(near) >= 5 and y.max() > y.min():
             return n * x[i], -math.log(e[i]), g[i], y.max() - y.min()
-        u_lo = math.log(x[max(i - 1, 0)])
-        u_hi = math.log(x[min(i + 1, _SCAN_POINTS - 1)])
+        u_lo, u_hi = np.log(x[[max(i - 1, 0), min(i + 1, _SCAN_POINTS - 1)]])
     raise NumericError(f"no peak found for the mgf integrand at z={z}")
 
 

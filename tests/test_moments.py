@@ -399,6 +399,12 @@ class TestMgf:
                 continue
             assert 0.0 <= value <= 1e-20
 
+    def test_underflow_reads_zero(self):
+        # (1 + 1)^-10000 and (1 + 10)^-1000 underflow: the log integrand is
+        # below z n x - 1 past the scan's lower end, which proves it at once
+        assert mgf_delta(ProblemSize(10**4, 1), -1.0) == 0.0
+        assert mgf_delta(ProblemSize(1000, 1), -10.0) == 0.0
+
     def test_unreachable_tail_raises(self):
         with pytest.raises(NumericError):
             mgf_delta(ProblemSize(1, 1), 1.0 - 1e-12)
