@@ -57,11 +57,11 @@ def _solve_excess(beta: float) -> tuple[float, float, int]:
 
     start = max(inv_b + math.log1p(inv_b), math.sqrt(2.0 * inv_b))
     failure = f"failed to bracket the root for beta={beta}"
-    above, below = newton_bracket(
+    below, above = newton_bracket(
         lambda u: _excess_log_gap(u) - inv_b,
         slope, 0.0, start, start * 2.0**200, failure, _REL_WIDTH,
     )
-    u = 0.5 * (above + below)
+    u = 0.5 * (below + above)
     return u, float(beta * (_excess_log_gap(u) - inv_b)), steps
 
 

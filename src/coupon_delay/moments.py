@@ -62,10 +62,10 @@ _STATE_SPACE_LIMIT = 1_000_000
 
 _Y_LO = -4.0  # the moments' grid: y from -4, step 1/4
 _STEP = 0.25
-_MAX_HALVINGS = 6
 _ROUNDING = 1e-14  # relative rounding floor of a trapezoid sum
 _MGF_TAIL = 40.0  # the MGF grid ends where its integrand is e^-40 of its peak
 _MGF_UNDERFLOW = -700.0  # a peak below e^-700 integrates to under 1e-300
+_MGF_OVERFLOW = math.log(np.finfo(np.float64).max)  # exp overflows above it
 _SCAN_POINTS = 33
 _MAX_SCANS = 60
 _TINY = float(np.finfo(np.float64).tiny)
@@ -105,49 +105,39 @@ class MomentResult:
 # quadrature core
 
 
-def _quantiles(ps: ProblemSize, y: np.ndarray, level: int, nodes: dict) -> np.ndarray:
+def _quantiles(ps: ProblemSize, y: np.ndarray, nodes: list) -> np.ndarray:
     """Q(y), the Delta at Gumbel point y, for a grid y that starts like the
-    one whose values ``nodes[level]`` holds: only the points past those are
+    one whose values ``nodes[0]`` holds: only the points past those are
     computed, by one call of the sampler's map at E = e^-y, and kept."""
-    q = nodes.get(level, np.empty(0))
+    q = nodes[0]
     if len(q) < len(y):
         new = delta_from_exponential(ps.m, ps.n, np.exp(-y[len(q) :]))
-        q = nodes[level] = np.concatenate([q, new])
+        q = nodes[0] = np.concatenate([q, new])
     return q[: len(y)]
 
 
-def _trapezoid(
-    ps: ProblemSize, f, y0: float, h: float, count: int, rel_tol: float, nodes: dict
-):
-    """(Int f(y, Q(y)) dy, error estimate) by the trapezoid rule on the
-    nodes y0 + k h, 0 <= k < count, where f must be negligible at both ends.
+def _trapezoid(values: np.ndarray, h: float, rel_tol: float):
+    """(Int f(y) dy, error estimate) by the trapezoid rule, from the values
+    of f at nodes of step h, where f must be negligible at both ends.
 
     f is analytic in a strip around the real axis, so the rule's error falls
     like e^(-c/h): with S the sum at h, S_2h its every-other-node subsum and
     d = |S - S_2h| / S, the error is about d^2 S, to which a rounding floor
-    is added.  While that misses rel_tol S, h is halved: the new nodes are
-    the midpoints, and the old sum becomes the coarse one.  ``nodes`` keeps
-    Q per halving level for calls on the same y0 and h, whose nodes for a
-    smaller count are a prefix of a larger count's.
+    of 1e-14 S is added.  NumericError is raised where that misses
+    rel_tol S.  The callers' steps are short enough that d^2 stays far
+    below the floor (tests/test_moments.py checks it), so the step is never
+    refined.
     """
-    y = y0 + h * np.arange(count)
-    values = f(y, _quantiles(ps, y, 0, nodes))
     total, coarse = h * np.sum(values), 2.0 * h * np.sum(values[::2])
-    for level in range(1, _MAX_HALVINGS + 2):
-        if not 0.0 < total < math.inf:
-            raise NumericError(f"trapezoid sum {total} is not a positive double")
-        err = (((total - coarse) / total) ** 2 + _ROUNDING) * total
-        if err <= rel_tol * total:
-            return float(total), float(err)
-        if level > _MAX_HALVINGS or rel_tol < _ROUNDING:  # halving cannot help
-            raise NumericError(
-                f"trapezoid sum {total} missed rel_tol {rel_tol}: its last halving"
-                f" moved it by {abs(total - coarse)}"
-            )
-        step = h / 2**level
-        y = y0 + step * (2.0 * np.arange((count - 1) << (level - 1)) + 1.0)
-        values = f(y, _quantiles(ps, y, level, nodes))
-        total, coarse = 0.5 * total + step * np.sum(values), total
+    if not 0.0 < total < math.inf:
+        raise NumericError(f"trapezoid sum {total} is not a positive double")
+    err = (((total - coarse) / total) ** 2 + _ROUNDING) * total
+    if err > rel_tol * total:
+        raise NumericError(
+            f"trapezoid sum {total} missed rel_tol {rel_tol}: the sum at twice"
+            f" the step differs by {abs(total - coarse)}"
+        )
+    return float(total), float(err)
 
 
 def delta_power_moment(
@@ -155,7 +145,7 @@ def delta_power_moment(
     s: float,
     cfg: Optional[QuadratureConfig] = None,
     *,
-    nodes: Optional[dict] = None,
+    nodes: Optional[list] = None,
 ) -> MomentResult:
     """E[Delta^s] = s n^s Int_0^inf [1 - F_m(t)^n] t^{s-1} dt, s > 0, computed
     as Int Q(y)^s exp(-y - e^-y) dy over the Gumbel variable y.
@@ -164,18 +154,19 @@ def delta_power_moment(
     is under e^-50, and at the top Q^s e^-y has fallen below 1e-16 of the
     moment (Q grows like n y there), under the rounding floor.  Q(y) is
     singular at distance pi/2 from the real axis, so the rule's error at
-    step 1/4 is near e^(-pi^2 / (1/4)) = 7e-18.  ``nodes``, shared by
-    calls on the same ps, lets several exponents share their quantiles (see
-    ``rising_moments``); without it the call computes its own.
+    step 1/4 is near e^(-pi^2 / (1/4)) = 7e-18.  ``nodes``, a one-item list
+    shared by calls on the same ps, lets several exponents share their
+    quantiles (see ``rising_moments``); without it the call computes its
+    own.
     """
     if not is_positive_real(s):
         raise ValueError(f"moment exponent must be a positive real, got {s!r}")
     cfg = cfg or QuadratureConfig()
     s = float(s)
-    count = int((40.0 + 3.0 * s - _Y_LO) / _STEP) + 1
-    f = lambda y, q: q**s * np.exp(-y - np.exp(-y))  # Gumbel weight exp(-y - e^-y)
-    nodes = {} if nodes is None else nodes
-    value, abs_err = _trapezoid(ps, f, _Y_LO, _STEP, count, cfg.rel_tol, nodes)
+    y = _Y_LO + _STEP * np.arange(int((40.0 + 3.0 * s - _Y_LO) / _STEP) + 1)
+    q = _quantiles(ps, y, [np.empty(0)] if nodes is None else nodes)
+    # Q^s times the Gumbel weight exp(-y - e^-y)
+    value, abs_err = _trapezoid(q**s * np.exp(-y - np.exp(-y)), _STEP, cfg.rel_tol)
     return MomentResult(value=value, abs_err=abs_err, method=METHOD_QUADRATURE)
 
 
@@ -198,7 +189,7 @@ def rising_moments(
     """
     orders = [_check_order(r) for r in orders]
     cfg = cfg or QuadratureConfig()
-    nodes: dict = {}
+    nodes = [np.empty(0)]
     results = {
         r: delta_power_moment(ps, float(r), cfg, nodes=nodes)
         for r in sorted(set(orders), reverse=True)
@@ -281,7 +272,8 @@ def mgf_delta(
     40 / (1 - n z), doubled until the last node is that low.  Nothing
     cancels, so the value is good to rel_tol relative at every z (within
     1e-13 of the exact chain for n z down to -1e6, and of the m = 1 product
-    for n z from -1000 to 0.94); values below 1e-300 read 0.  Past y = 708 - ln n the
+    for n z from -1000 to 0.94); values below 1e-300 read 0, and values
+    above the largest double raise NumericError.  Past y = 708 - ln n the
     quantile Q saturates, so where the right tail, decaying like
     e^{-(1 - n z) y}, has not died out by then (from n z = 0.95 at m = 1,
     earlier for larger m), NumericError is raised.
@@ -296,6 +288,8 @@ def mgf_delta(
     q_peak, y_peak, top, width = _mgf_peak(ps, z)
     if top < _MGF_UNDERFLOW:
         return 0.0
+    if top > _MGF_OVERFLOW:  # the grid has a node at the peak, whose exp overflows
+        raise NumericError(f"mgf at z={z} exceeds the largest double")
     # Q(y) is singular at distance pi/2 from the real axis, which bounds the
     # step as much as the peak's width does (see delta_power_moment).
     h = min(_STEP, 0.1 * width)
@@ -307,18 +301,18 @@ def mgf_delta(
     y0 = y_peak - h * math.ceil((y_peak - left) / h)
     y_sat = -math.log(_TINY) - math.log(n)
     reach = 2.0 * width + _MGF_TAIL / (1.0 - n * z)
-    nodes: dict = {}
+    nodes = [np.empty(0)]
     while True:
         end = min(y_peak + reach, y_sat)
         y = y0 + h * np.arange(math.ceil((end - y0) / h) + 1)
-        q = _quantiles(ps, y, 0, nodes)
+        q = _quantiles(ps, y, nodes)
         if z * q[-1] - y[-1] - math.exp(-y[-1]) < top - _MGF_TAIL:
             break
         if end == y_sat:
             raise NumericError(f"mgf tail at z={z} outlasts Q (z too close to 1/n)")
         reach *= 2.0
-    f = lambda y, q: np.exp(z * q - y - np.exp(-y))
-    return _trapezoid(ps, f, y0, h, len(y), cfg.rel_tol, nodes)[0]
+    with np.errstate(over="ignore"):  # a sum that overflows raises NumericError
+        return _trapezoid(np.exp(z * q - y - np.exp(-y)), h, cfg.rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ env var COUPON_DELAY_THREADS caps the worker count (default 1).
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -220,19 +219,13 @@ def empirical_moments(batch: SampleBatch, r: int = 1) -> tuple[float, float]:
 def write_samples_csv(batch: SampleBatch, path) -> None:
     """Raw sample export: header row, one value (or d,delta pair) per line,
     LF line endings."""
+    columns = {}
+    if batch.d_values is not None:
+        columns["d"] = map(str, batch.d_values.astype(np.int64).tolist())
+    if batch.delta_values is not None:
+        columns["delta"] = [format(v, ".10g") for v in batch.delta_values.tolist()]
+    if not columns:
+        raise ValueError("batch holds no samples")
+    lines = [",".join(columns), *map(",".join, zip(*columns.values()))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if batch.d_values is not None and batch.delta_values is not None:
-            writer.writerow(["d", "delta"])
-            for d, delta in zip(batch.d_values, batch.delta_values):
-                writer.writerow([int(d), format(float(delta), ".10g")])
-        elif batch.d_values is not None:
-            writer.writerow(["d"])
-            for d in batch.d_values:
-                writer.writerow([int(d)])
-        elif batch.delta_values is not None:
-            writer.writerow(["delta"])
-            for delta in batch.delta_values:
-                writer.writerow([format(float(delta), ".10g")])
-        else:
-            raise ValueError("batch holds no samples")
+        fh.write("\n".join(lines) + "\n")

@@ -30,6 +30,7 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
 _TINY = float(np.finfo(np.float64).tiny)
+_SMALLEST = float(np.finfo(np.float64).smallest_subnormal)
 
 
 def is_integer(value) -> bool:
@@ -48,14 +49,14 @@ _MAX_NEWTON_ROUNDS = 200  # bisection alone narrows any bracket in 60
 
 
 def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
-    """Bracket lo, hi of the point where the monotone g crosses ``level``:
-    g(lo) > level >= g(hi), |hi - lo| <= rel_width max(|lo|, |hi|), rel_width
-    >= 2^-52.  lo and hi are named for g, so lo > hi if g increases.
+    """Bracket left < right of the point where the increasing g crosses
+    ``level``: g(left) <= level < g(right), right - left <= rel_width right,
+    rel_width >= 2^-52.
 
-    The crossing must lie above the start x > 0.  x is doubled until g(x)
-    changes side, raising NumericError(failure) once x passes x_limit.  Then
-    Newton steps with the derivative ``slope(x, g(x))``, from the end of that
-    bracket nearer ``level`` and then from the last point, each aimed a
+    The start x > 0 must have g(x) <= level.  x is doubled until g(x)
+    passes the level, raising NumericError(failure) once x passes x_limit.
+    Then Newton steps with the derivative ``slope(x, g(x))``, from the end of
+    that bracket nearer ``level`` and then from the last point, each aimed a
     quarter width past the root to close the bracket from both sides, or a
     bisection if the step would leave the bracket; NumericError(failure)
     again if 200 steps leave it wide, as where g is flat to its last digit
@@ -63,10 +64,10 @@ def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
 
     ``level`` and x are floats, which give floats, or arrays of one shape,
     which give arrays of that shape.  Every element doubles until its
-    own g has changed side, then steps until its own bracket is narrow, and
-    is not evaluated again once it is done.  Each round calls g once, on a
-    1-d array of the points still searching; g and slope must act element by
-    element, so an element's bracket does not depend on the others.
+    own g has passed the level, then steps until its own bracket is narrow,
+    and is not evaluated again once it is done.  Each round calls g once, on
+    a 1-d array of the points still searching; g and slope must act element
+    by element, so an element's bracket does not depend on the others.
 
     The width must stay above the resolution of the crossing in x, x's own
     rounding plus the x-error that g's error implies, or Newton keeps
@@ -81,7 +82,6 @@ def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
     level = np.array(level, dtype=np.float64).reshape(-1)
     x = np.array(x, dtype=np.float64).reshape(-1)
     gx = np.full(x.shape, g(x.copy()), dtype=np.float64)
-    start_side = gx > level
     prev, g_prev = x.copy(), gx.copy()
     moving = np.arange(x.size)  # the elements still doubling
     while moving.size:
@@ -91,10 +91,7 @@ def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
         g_step = g(step)
         prev[moving], g_prev[moving] = x[moving], gx[moving]
         x[moving], gx[moving] = step, g_step
-        moving = moving[(g_step > level[moving]) == start_side[moving]]
-    # The crossing lies above the start, so g falls where it starts above the
-    # level.  The bracket is kept as left < right until the end.
-    falling = start_side
+        moving = moving[g_step <= level[moving]]
     left, right = prev, x
     back = np.abs(g_prev - level) < np.abs(gx - level)
     x, gx = np.where(back, prev, x), np.where(back, g_prev, gx)
@@ -109,8 +106,8 @@ def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
             out_left[index], out_right[index] = left, right
             if not wide.any():
                 break
-            index, x, gx, level, falling, left, right = (
-                a[wide] for a in (index, x, gx, level, falling, left, right)
+            index, x, gx, level, left, right = (
+                a[wide] for a in (index, x, gx, level, left, right)
             )
         d = slope(x, gx)
         ends = left + right
@@ -118,15 +115,13 @@ def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
             t = x - (gx - level) / d + np.copysign(nudge * x, ends - 2.0 * x)
         x = np.where((left < t) & (t < right), t, 0.5 * ends)
         gx = g(x)
-        on_left = (gx > level) == falling
+        on_left = gx <= level
         left, right = np.where(on_left, x, left), np.where(on_left, right, x)
     else:  # a g too flat to resolve its crossing: the steps only creep
         raise NumericError(failure)
-    lo = np.where(start_side, out_left, out_right)
-    hi = np.where(start_side, out_right, out_left)
     if shape == ():
-        return float(lo[0]), float(hi[0])
-    return lo.reshape(shape), hi.reshape(shape)
+        return float(out_left[0]), float(out_right[0])
+    return out_left.reshape(shape), out_right.reshape(shape)
 
 
 def _check_shape(m) -> int:
@@ -279,11 +274,13 @@ def erlang_log_pdf(m: int, x):
     for a shape m already checked.  For m > 40 it is written through
     lam - 1 - ln lam, lam = x/m, and Stirling's series, because
     (m - 1) ln x - x - lgamma(m) cancels terms near m ln m; outside the band
-    lam - 1 - ln lam has no cancellation of its own."""
+    lam - 1 - ln lam has no cancellation of its own.  lam is floored at the
+    smallest positive double, so that an x/m that rounds to 0 gives no log
+    of 0; the density underflows there anyway."""
     if m <= _FINITE_SUM_MAX_SHAPE:
         return (m - 1) * np.log(x) - x - math.lgamma(m)
     return (
-        -m * ((x - m) / m - np.log(x / m))
+        -m * ((x - m) / m - np.log(np.maximum(x / m, _SMALLEST)))
         - 0.5 * math.log(2.0 * math.pi / m)
         - _ln_gamma_star(m)
         - np.log(x)
@@ -291,8 +288,10 @@ def erlang_log_pdf(m: int, x):
 
 
 def _below(m: int, x):
-    """log1p(-P), P = x^m e^-x / m! times the ascending series."""
-    log_p = erlang_log_pdf(m, x) + np.log(x / m) + np.log(_ascending_sum(m, x))
+    """log1p(-P), P = x^m e^-x / m! times the ascending series; x/m is
+    floored as in ``erlang_log_pdf``, where P underflows to 0 anyway."""
+    lam = np.maximum(x / m, _SMALLEST)
+    log_p = erlang_log_pdf(m, x) + np.log(lam) + np.log(_ascending_sum(m, x))
     return np.log1p(-np.exp(log_p))
 
 
@@ -446,7 +445,7 @@ def erlang_log_sf_inverse(m: int, level):
             return np.exp(erlang_log_pdf(m, x) + np.exp(g) - g)
 
         log_target = np.log(-target)
-        lo, hi = newton_bracket(
+        left, right = newton_bracket(
             log_hazard_sum,
             slope,
             log_target,
@@ -455,9 +454,9 @@ def erlang_log_sf_inverse(m: int, level):
             "Erlang survival inverse diverged",
             _INVERSE_REL_WIDTH,
         )
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (left + right)
         g = log_hazard_sum(mid)
-        out[inner] = np.clip(mid + (log_target - g) / slope(mid, g), hi, lo)
+        out[inner] = np.clip(mid + (log_target - g) / slope(mid, g), left, right)
     return float(out[0]) if level.ndim == 0 else out.reshape(level.shape)
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -52,8 +53,8 @@ class TestQuadratureConfig:
         QuadratureConfig(rel_tol=1e-2)  # boundary allowed
 
     def test_rel_tol_below_the_rounding_floor_raises(self):
-        # abs_err includes a 1e-14 relative rounding floor, which no halving
-        # of the step removes
+        # abs_err includes a 1e-14 relative rounding floor, which no shorter
+        # step removes
         ps = ProblemSize(2, 3)
         assert mean_delay(ps, QuadratureConfig(rel_tol=2e-14)).abs_err < 2e-14 * 10
         with pytest.raises(NumericError, match="missed rel_tol"):
@@ -109,12 +110,13 @@ class TestDeltaPowerMoment:
         assert mean_delay(ProblemSize(1, 2)).method == "quadrature"
 
     def test_panel_cap_raises_with_the_estimate(self):
-        # A box on (1/3, 2/3) is not analytic, so each halving of the step
-        # only halves the error, and the rule gives up after 6 halvings with
-        # its sum and last change in the message
-        box = lambda y, q: ((y > 1.0 / 3.0) & (y < 2.0 / 3.0)).astype(float)
+        # A box on (1/3, 2/3) is not analytic, so the sum at step 1/4 and its
+        # every-other-node subsum differ by far more than rel_tol, and the
+        # rule gives up with its sum and that difference in the message
+        y = 0.25 * np.arange(5)
+        box = ((y > 1.0 / 3.0) & (y < 2.0 / 3.0)).astype(float)
         with pytest.raises(NumericError, match="trapezoid sum") as info:
-            moments._trapezoid(ProblemSize(1, 1), box, 0.0, 0.25, 5, 1e-9, {})
+            moments._trapezoid(box, 0.25, 1e-9)
         found = re.findall(r"sum (\S+) .* by (\S+)", str(info.value))
         total, moved = map(float, found[0])
         assert moved > 1e-9 * total
@@ -241,11 +243,11 @@ class TestCrossing:
 
         def g(x):
             evaluations.append(x)
-            return -x * x
+            return x * x
 
-        lo, hi = newton_bracket(g, lambda x, _: -2.0 * x, -10.0, 1.0, 1e18, "unused")
-        assert -lo * lo > -10.0 >= -hi * hi
-        assert hi - lo <= 1e-9 * hi
+        lo, hi = newton_bracket(g, lambda x, _: 2.0 * x, 10.0, 1.0, 1e18, "unused")
+        assert lo * lo <= 10.0 < hi * hi
+        assert 0.0 < hi - lo <= 1e-9 * hi
         # 2 doublings, then one evaluation per Newton step
         assert evaluations[:3] == [1.0, 2.0, 4.0]
         assert len(evaluations) <= 3 + 8
@@ -254,34 +256,41 @@ class TestCrossing:
         lo, hi = newton_bracket(
             lambda x: x**3, lambda x, _: 3.0 * x * x, 10.0, 0.5, 1e18, "unused"
         )
-        assert lo**3 > 10.0 >= hi**3
-        assert 0.0 < lo - hi <= 1e-9 * lo
+        assert lo**3 <= 10.0 < hi**3
+        assert 0.0 < hi - lo <= 1e-9 * hi
 
     @pytest.mark.parametrize(
-        "slope", [lambda x, _: 0.0, lambda x, _: 2.0 * x], ids=["zero", "wrong-sign"]
+        "slope", [lambda x, _: 0.0, lambda x, _: -2.0 * x], ids=["zero", "wrong-sign"]
     )
     def test_bisects_where_newton_cannot_step(self, slope):
         # A zero slope, or one of the wrong sign, whose steps leave the bracket
-        lo, hi = newton_bracket(lambda x: -x * x, slope, -10.0, 1.0, 1e18, "unused")
-        assert -lo * lo > -10.0 >= -hi * hi
+        lo, hi = newton_bracket(lambda x: x * x, slope, 10.0, 1.0, 1e18, "unused")
+        assert lo * lo <= 10.0 < hi * hi
         assert hi - lo <= 1e-9 * hi
 
     def test_gives_up_when_the_steps_only_creep(self):
-        # g reaches the level at x = 5 and stays on it, and the slope claims
-        # it keeps falling: each Newton step from the right end moves by the
-        # quarter-width nudge alone, so the search stops with an error
-        # instead of creeping across the bracket
+        # g rises to 5 at x = 5 and stays there, one ulp above the level, and
+        # the slope claims it keeps rising: each Newton step from the right
+        # end moves by the quarter-width nudge alone, so after 200 steps the
+        # search stops with an error instead of creeping across the bracket
+        calls = 0
+
+        def g(x):
+            nonlocal calls
+            calls += 1
+            return np.minimum(x, 5.0)
+
         with pytest.raises(NumericError, match="flat"):
-            g = lambda x: -np.minimum(x, 5.0)
-            newton_bracket(g, lambda x, _: -1.0, -5.0, 1.0, 1e18, "flat")
+            newton_bracket(g, lambda x, _: 1.0, np.nextafter(5.0, 0.0), 1.0, 1e18, "flat")
+        assert calls == 1 + 3 + 200  # the start, 3 doublings, every Newton step
 
     def test_array_elements_search_on_their_own(self):
         # Each element's bracket equals its scalar search, whatever the
         # batch: levels needing 1 to 40 doublings and different step counts
-        levels = -np.geomspace(0.5, 1e24, 9)
+        levels = np.geomspace(0.5, 1e24, 9)
         starts = np.linspace(0.5, 2.0, 9)
-        g = lambda x: -x * x
-        slope = lambda x, _: -2.0 * x
+        g = lambda x: x * x
+        slope = lambda x, _: 2.0 * x
         lo, hi = newton_bracket(g, slope, levels, starts, 1e18, "unused")
         for i in range(len(levels)):
             assert (lo[i], hi[i]) == newton_bracket(
@@ -297,7 +306,7 @@ class TestCrossing:
     def test_gives_up_past_the_limit(self):
         with pytest.raises(NumericError, match="search diverged"):
             newton_bracket(
-                lambda x: 0.0, lambda x, _: 0.0, -1.0, 1.0, 1e3, "search diverged"
+                lambda x: 0.0, lambda x, _: 0.0, 1.0, 1.0, 1e3, "search diverged"
             )
 
 
@@ -327,6 +336,37 @@ class TestTailWindow:
         monkeypatch.setattr(special, "erlang_log_sf", counted)
         mean_delay(ProblemSize(5, 1000))
         assert calls <= 20  # one Newton search over all 189 nodes
+
+    def test_fixed_step_meets_any_tolerance(self):
+        # The step is never refined: the sum at step 1/4 and its every-other-
+        # node subsum agree so closely that the estimate d^2 S + 1e-14 S stays
+        # within 1e-12 S (the worst is 1.07e-14 S, at (41, 1), r = 1)
+        for m in (1, 2, 41, 1000, 10**6):
+            for n in (1, 2, 1000, 10**6):
+                for res in rising_moments(ProblemSize(m, n), range(1, 21)):
+                    assert res.abs_err <= 1e-12 * res.value
+
+    def test_fixed_mgf_step_meets_any_tolerance(self, monkeypatch):
+        # The same for the MGF's grid, read from every trapezoid sum it
+        # takes (the worst is 2.1e-14 S, at (1e5, 2), n z = -1e-3); values
+        # the underflow bound proves to be 0 take no sum
+        sums = []
+        trapezoid = moments._trapezoid
+
+        def spy(values, h, rel_tol):
+            sums.append(trapezoid(values, h, rel_tol))
+            return sums[-1]
+
+        monkeypatch.setattr(moments, "_trapezoid", spy)
+        for m in (1, 2, 5, 41, 1000, 10**5, 10**6):
+            positive = [1e-3] if m <= 10**5 else []  # e^(z n m) overflows above
+            positive += [0.5, 0.9] if m <= 5 else []  # Q saturates first above
+            for n in (1, 2, 1000, 10**6):
+                for nz in [-1e6, -1e3, -1.0, -1e-3] + positive:
+                    mgf_delta(ProblemSize(m, n), nz / n)
+        assert len(sums) > 100
+        for total, err in sums:
+            assert err <= 1e-12 * total
 
 
 class TestMeanDelay:
@@ -404,6 +444,17 @@ class TestMgf:
         # below z n x - 1 past the scan's lower end, which proves it at once
         assert mgf_delta(ProblemSize(10**4, 1), -1.0) == 0.0
         assert mgf_delta(ProblemSize(1000, 1), -10.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "m, n, nz", [(10**4, 1, 0.1), (10**4, 1000, 0.1), (10**6, 3, 1e-3), (1000, 1, 0.51)]
+    )
+    def test_overflow_raises_without_a_warning(self, m, n, nz):
+        # Values above the largest double: the first three peak above it, and
+        # at (1000, 1) the peak is e^709 but the sum of the nodes overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                mgf_delta(ProblemSize(m, n), nz / n)
 
     def test_unreachable_tail_raises(self):
         with pytest.raises(NumericError):

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ class TestErlangLogSf:
 
     def test_zero_is_zero(self):
         assert erlang_log_sf(17, 0.0) == 0.0
+
+    @pytest.mark.parametrize("m", [3, 41, 100])
+    def test_subnormal_x_gives_no_warning(self, m):
+        # x / m rounds to 0 here; its log is floored instead of read as -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert erlang_log_sf(m, 5e-324) == 0.0
+            assert (erlang_log_sf(m, np.array([5e-324, 1e-320])) == 0.0).all()
 
     def test_shape_validation(self):
         for m in (0, 2.0, True):
