@@ -25,6 +25,7 @@ from .special import is_positive_real, log1p_excess, newton_bracket
 __all__ = ["AlphaSolution", "solve_alpha", "bridging_gap"]
 
 _REL_WIDTH = 1e-15  # relative to u: a few ulps, a quarter of it at least one
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -40,13 +41,21 @@ def _excess_log_gap(u):
     return np.where(u > 0.5, u - np.log1p(u), log1p_excess(np.minimum(u, 0.5)))
 
 
+def _check_beta(beta) -> float:
+    """beta as a float, or ValueError: 1/beta overflows below _TINY."""
+    if not (is_positive_real(beta) and beta >= _TINY):
+        raise ValueError(f"beta must be a finite real >= {_TINY}, got {beta!r}")
+    return float(beta)
+
+
 def _solve_excess(beta: float) -> tuple[float, float, int]:
     """Root u of u - log1p(u) = 1/beta; returns (u, residual, steps), the
     steps counted after the bracket.
 
-    The search starts below the root: u - log1p(u) <= u^2/2 = 1/beta at
-    u = sqrt(2/beta), and u - log1p(u) - 1/beta = log1p(1/beta) - log1p(u)
-    < 0 at u = 1/beta + log1p(1/beta)."""
+    The root lies above u = sqrt(2/beta), where u - log1p(u) <= u^2/2 =
+    1/beta, and above u = 1/beta + log1p(1/beta), where u - log1p(u) -
+    1/beta = log1p(1/beta) - log1p(u) < 0; and below u = 1/beta +
+    sqrt(1/beta) sqrt(1/beta + 2), where u - log1p(u) >= u^2/(2 (1 + u))."""
     inv_b = 1.0 / beta
     steps = 0
 
@@ -55,13 +64,13 @@ def _solve_excess(beta: float) -> tuple[float, float, int]:
         steps += 1
         return u / (1.0 + u)
 
-    start = max(inv_b + math.log1p(inv_b), math.sqrt(2.0 * inv_b))
-    failure = f"failed to bracket the root for beta={beta}"
     below, above = newton_bracket(
-        lambda u: _excess_log_gap(u) - inv_b,
-        slope, 0.0, start, start * 2.0**200, failure, _REL_WIDTH,
+        lambda u: _excess_log_gap(u) - inv_b, slope, 0.0,
+        max(inv_b + math.log1p(inv_b), math.sqrt(2.0 * inv_b)),
+        inv_b + math.sqrt(inv_b) * math.sqrt(inv_b + 2.0),
+        f"failed to bracket the root for beta={beta}", _REL_WIDTH,
     )
-    u = 0.5 * (below + above)
+    u = float(0.5 * (below + above))
     return u, float(beta * (_excess_log_gap(u) - inv_b)), steps
 
 
@@ -71,9 +80,7 @@ def solve_alpha(beta: float) -> AlphaSolution:
     Deterministic, |residual| <= 1e-12 throughout beta in [1e-6, 1e6]
     (and in practice far beyond).
     """
-    if not is_positive_real(beta):
-        raise ValueError(f"beta must be a positive finite real, got {beta!r}")
-    beta = float(beta)
+    beta = _check_beta(beta)
     u, residual, iterations = _solve_excess(beta)
     return AlphaSolution(
         beta=beta, alpha=beta * (1.0 + u), residual=residual, iterations=iterations
@@ -86,8 +93,6 @@ def bridging_gap(beta: float) -> float:
     Tends to 0 as beta grows, quantifying how the critical-regime
     normalization constants merge into the supercritical ones.
     """
-    if not is_positive_real(beta):
-        raise ValueError(f"beta must be a positive finite real, got {beta!r}")
-    beta = float(beta)
+    beta = _check_beta(beta)
     u, _, _ = _solve_excess(beta)
     return u * math.sqrt(beta) - math.sqrt(2.0)

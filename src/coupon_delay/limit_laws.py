@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .alpha import solve_alpha
-from .special import is_integer, is_positive_real, normal_cdf
+from .special import check_count, is_positive_real, normal_cdf
 
 __all__ = [
     "FixedM",
@@ -49,8 +49,7 @@ class FixedM:
     m: int
 
     def __post_init__(self):
-        if not is_integer(self.m) or self.m < 1:
-            raise ValueError(f"FixedM requires an integer m >= 1, got {self.m!r}")
+        check_count(self.m, "FixedM's m")
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,7 @@ class FixedN:
     n: int
 
     def __post_init__(self):
-        if not is_integer(self.n) or self.n < 1:
-            raise ValueError(f"FixedN requires an integer n >= 1, got {self.n!r}")
+        check_count(self.n, "FixedN's n")
 
 
 Regime = Union[FixedM, Supercritical, Critical, FixedN]
@@ -135,8 +133,8 @@ def normalization(regime: Regime, m: int, n: int) -> Normalization:
     the caller and is deliberately not enforced; goodness of fit is what
     the KS harness reports.
     """
-    if not (is_integer(m) and is_integer(n)) or m < 1 or n < 1:
-        raise ValueError(f"m and n must be integers >= 1, got {m!r}, {n!r}")
+    check_count(m, "m")
+    check_count(n, "n")
     if isinstance(regime, FixedN):
         return Normalization(
             center=float(n) * m,

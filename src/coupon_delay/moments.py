@@ -30,10 +30,11 @@ from .alpha import solve_alpha
 from .errors import NumericError
 from .limit_laws import Critical, FixedM, FixedN, Regime, Supercritical
 from .special import (
+    above_crossing,
     below_crossing,
+    check_count,
     delta_from_exponential,
     erlang_log_sf,
-    is_integer,
     is_positive_real,
     log1mexp,
 )
@@ -79,10 +80,8 @@ class ProblemSize:
     n: int
 
     def __post_init__(self):
-        if not is_integer(self.m) or self.m < 1:
-            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
-        if not is_integer(self.n) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        check_count(self.m, "m")
+        check_count(self.n, "n")
 
 
 @dataclass(frozen=True)
@@ -170,12 +169,6 @@ def delta_power_moment(
     return MomentResult(value=value, abs_err=abs_err, method=METHOD_QUADRATURE)
 
 
-def _check_order(r) -> int:
-    if not is_integer(r) or r < 1:
-        raise ValueError(f"rising-moment order must be an integer >= 1, got {r!r}")
-    return int(r)
-
-
 def rising_moments(
     ps: ProblemSize, orders, cfg: Optional[QuadratureConfig] = None
 ) -> list[MomentResult]:
@@ -187,7 +180,7 @@ def rising_moments(
     largest down and each later one reuses the nodes already found.  Results
     equal those of separate ``rising_moment`` calls exactly.
     """
-    orders = [_check_order(r) for r in orders]
+    orders = [check_count(r, "rising-moment order") for r in orders]
     cfg = cfg or QuadratureConfig()
     nodes = [np.empty(0)]
     results = {
@@ -235,15 +228,17 @@ def _mgf_peak(ps: ProblemSize, z: float):
 
     Along x = Q/n the Gumbel point is explicit, e^-y = E = -n ln F_m(x), so
     each scan of ln x costs one erlang_log_sf call.  The first spans
-    E = 700, where the integrand is below e^-693, to past where Q
-    saturates; each next one spans the two intervals around the highest
-    point of the last, until five points lie within 1 of it.
+    E = 700, where the integrand is below e^-693, to the ``above_crossing``
+    past which Q saturates; each next one spans the two intervals around
+    the highest point of the last, until five points lie within 1 of it.
     """
     m, n = ps.m, ps.n
+    if z * m * n > _MGF_OVERFLOW:  # the mgf is at least e^{z m n}, see mgf_delta
+        return 0.0, 0.0, math.inf, 0.0
     lo = max(float(below_crossing(m, log1mexp(700.0 / n))), _TINY)
     if z * n * lo < _MGF_UNDERFLOW:  # g <= z n x - 1 for x >= lo, and < -693 below
         return 0.0, 0.0, -math.inf, 0.0
-    u_lo, u_hi = math.log(lo), math.log(m + 50.0 * math.sqrt(m) + 1500.0)
+    u_lo, u_hi = math.log(lo), math.log(above_crossing(m, math.log(_TINY)))
     for _ in range(_MAX_SCANS):
         x = np.exp(np.linspace(u_lo, u_hi, _SCAN_POINTS))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -273,8 +268,9 @@ def mgf_delta(
     cancels, so the value is good to rel_tol relative at every z (within
     1e-13 of the exact chain for n z down to -1e6, and of the m = 1 product
     for n z from -1000 to 0.94); values below 1e-300 read 0, and values
-    above the largest double raise NumericError.  Past y = 708 - ln n the
-    quantile Q saturates, so where the right tail, decaying like
+    above the largest double raise NumericError, at once where z m n passes
+    its log, as E[e^{z Delta}] >= e^{z E[D]} >= e^{z m n}.  Past y = 708 -
+    ln n the quantile Q saturates, so where the right tail, decaying like
     e^{-(1 - n z) y}, has not died out by then (from n z = 0.95 at m = 1,
     earlier for larger m), NumericError is raised.
     """
@@ -441,7 +437,7 @@ def asymptotic_moment(ps: ProblemSize, regime: Regime, r: int) -> float:
     Supercritical and fixed-n regimes predict (n m)^r; the critical regime
     inflates per-coupon cost by alpha/beta, giving (alpha/beta * n m)^r.
     """
-    r = _check_order(r)
+    r = check_count(r, "rising-moment order")
     if isinstance(regime, (Supercritical, FixedN)):
         return float(ps.n * ps.m) ** r
     if isinstance(regime, Critical):
@@ -456,8 +452,7 @@ def asymptotic_moment(ps: ProblemSize, regime: Regime, r: int) -> float:
 
 def asymptotic_mean_fixed_m(m: int, n: int) -> float:
     """n ln n + (m-1) n ln ln n + n (gamma - ln((m-1)!)), fixed-m mean growth."""
-    if not is_integer(m) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    check_count(m, "m")
     if n <= math.e:
         raise ValueError("fixed-m expansion needs n > e so ln(ln(n)) is defined")
     log_n = math.log(n)

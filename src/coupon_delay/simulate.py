@@ -17,7 +17,7 @@ import numpy as np
 
 from .limit_laws import Normalization, Regime, normalization, target_cdf
 from .moments import ProblemSize
-from .special import delta_from_exponential, is_integer
+from .special import check_count, delta_from_exponential, is_integer
 
 __all__ = [
     "MODE_DISCRETE",
@@ -51,8 +51,7 @@ class SimConfig:
     mode: str
 
     def __post_init__(self):
-        if not is_integer(self.reps) or self.reps < 1:
-            raise ValueError(f"reps must be an integer >= 1, got {self.reps!r}")
+        check_count(self.reps, "reps")
         if not is_integer(self.seed) or not 0 <= int(self.seed) < 2**64:
             raise ValueError(
                 f"seed must be a 64-bit unsigned integer, got {self.seed!r}"

@@ -30,6 +30,7 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
 _TINY = float(np.finfo(np.float64).tiny)
+_MAX = float(np.finfo(np.float64).max)
 _SMALLEST = float(np.finfo(np.float64).smallest_subnormal)
 
 
@@ -45,56 +46,56 @@ def is_positive_real(value) -> bool:
     return real and math.isfinite(value) and value > 0
 
 
+def check_count(value, name: str) -> int:
+    """``value`` as an int if it is an integer >= 1, else ValueError."""
+    if not is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 _MAX_NEWTON_ROUNDS = 200  # bisection alone narrows any bracket in 60
 
 
-def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
-    """Bracket left < right of the point where the increasing g crosses
-    ``level``: g(left) <= level < g(right), right - left <= rel_width right,
-    rel_width >= 2^-52.
+def newton_bracket(g, slope, level, left, right, failure, rel_width=1e-9):
+    """Narrow the caller's bracket left < right of the point where the
+    increasing g crosses ``level`` to one with g(left) <= level < g(right)
+    and right - left <= rel_width right, rel_width >= 2^-52.
 
-    The start x > 0 must have g(x) <= level.  x is doubled until g(x)
-    passes the level, raising NumericError(failure) once x passes x_limit.
-    Then Newton steps with the derivative ``slope(x, g(x))``, from the end of
-    that bracket nearer ``level`` and then from the last point, each aimed a
-    quarter width past the root to close the bracket from both sides, or a
-    bisection if the step would leave the bracket; NumericError(failure)
-    again if 200 steps leave it wide, as where g is flat to its last digit
-    over the bracket.
+    g is evaluated at both ends in one call; NumericError(failure) is raised
+    if they do not straddle the level, unless the bracket is already that
+    narrow (rounding may collapse it), which is returned as given.  Then
+    Newton steps with the derivative ``slope(x, g(x))``, from the end nearer
+    ``level`` and then from the last point, each aimed a quarter width past
+    the root to close the bracket from both sides, or a bisection if the
+    step would leave the bracket; NumericError(failure) again if 200 steps
+    leave it wide, as where g is flat to its last digit over the bracket.
 
-    ``level`` and x are floats, which give floats, or arrays of one shape,
-    which give arrays of that shape.  Every element doubles until its
-    own g has passed the level, then steps until its own bracket is narrow,
-    and is not evaluated again once it is done.  Each round calls g once, on
-    a 1-d array of the points still searching; g and slope must act element
-    by element, so an element's bracket does not depend on the others.
+    ``level``, left and right are floats or arrays of one shape, and the
+    ends come back as arrays of that shape.  Every element steps until
+    its own bracket is narrow, and is not evaluated again once it is done.
+    Each round calls g once, on a 1-d array of the points still searching;
+    g and slope must act element by element, so an element's bracket does
+    not depend on the others.
 
     The width must stay above the resolution of the crossing in x, x's own
     rounding plus the x-error that g's error implies, or Newton keeps
     landing on one side and each step only bisects.  A relative error e in
     ln sf moves its crossing by at most e relative, e |level| / (x hazard),
     because the Erlang hazard increases.  A 2000-level
-    ``erlang_log_sf_inverse`` at (3, 4) takes 10 kernel calls at any width
-    from 1e-12 down to 2e-15, and 62 at 4e-16, two ulps; it uses 1e-12,
+    ``erlang_log_sf_inverse`` at (3, 4) takes 9 kernel calls at widths from
+    1e-12 to 1e-14, 10 at 2e-15 and 61 at 4e-16, two ulps; it uses 1e-12,
     above ``erlang_log_sf``'s stated accuracy, and one more Newton step.
     """
-    shape = np.shape(x)
-    level = np.array(level, dtype=np.float64).reshape(-1)
-    x = np.array(x, dtype=np.float64).reshape(-1)
-    gx = np.full(x.shape, g(x.copy()), dtype=np.float64)
-    prev, g_prev = x.copy(), gx.copy()
-    moving = np.arange(x.size)  # the elements still doubling
-    while moving.size:
-        step = 2.0 * x[moving]
-        if (step > x_limit).any():
-            raise NumericError(failure)
-        g_step = g(step)
-        prev[moving], g_prev[moving] = x[moving], gx[moving]
-        x[moving], gx[moving] = step, g_step
-        moving = moving[g_step <= level[moving]]
-    left, right = prev, x
-    back = np.abs(g_prev - level) < np.abs(gx - level)
-    x, gx = np.where(back, prev, x), np.where(back, g_prev, gx)
+    shape = np.shape(left)
+    level, left, right = (
+        np.array(a, dtype=np.float64).reshape(-1) for a in (level, left, right)
+    )
+    g_left, g_right = g(np.concatenate([left, right])).reshape(2, -1)
+    straddles = (g_left <= level) & (level < g_right)
+    if not (straddles | (right - left <= rel_width * right)).all():
+        raise NumericError(failure)
+    back = np.abs(g_left - level) < np.abs(g_right - level)
+    x, gx = np.where(back, left, right), np.where(back, g_left, g_right)
     # Newton steps on the elements whose brackets are still wide; each
     # finished element's bracket is written out and dropped.
     out_left, out_right = left.copy(), right.copy()
@@ -110,24 +111,16 @@ def newton_bracket(g, slope, level, x, x_limit, failure, rel_width=1e-9):
                 a[wide] for a in (index, x, gx, level, left, right)
             )
         d = slope(x, gx)
-        ends = left + right
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = x - (gx - level) / d + np.copysign(nudge * x, ends - 2.0 * x)
-        x = np.where((left < t) & (t < right), t, 0.5 * ends)
+        half = 0.5 * left + 0.5 * right  # left + right may overflow
+        with np.errstate(all="ignore"):
+            t = x - (gx - level) / d + np.copysign(nudge * x, half - x)
+        x = np.where((left < t) & (t < right), t, half)
         gx = g(x)
         on_left = gx <= level
         left, right = np.where(on_left, x, left), np.where(on_left, right, x)
     else:  # a g too flat to resolve its crossing: the steps only creep
         raise NumericError(failure)
-    if shape == ():
-        return float(out_left[0]), float(out_right[0])
     return out_left.reshape(shape), out_right.reshape(shape)
-
-
-def _check_shape(m) -> int:
-    if not is_integer(m) or m < 1:
-        raise ValueError(f"Erlang shape must be an integer >= 1, got {m!r}")
-    return int(m)
 
 
 # Shapes up to _FINITE_SUM_MAX_SHAPE split at x = m: below it the ascending
@@ -358,7 +351,7 @@ def erlang_log_sf(m: int, x):
       band the same two series, with the prefactor x^m e^-x / m! written
       through x/m - 1 - ln(x/m) so that no large terms cancel.
     """
-    m = _check_shape(m)
+    m = check_count(m, "Erlang shape")
     x = np.array(x, dtype=np.float64)
     flat = x.reshape(-1)
     if flat.size == 0:
@@ -392,15 +385,25 @@ def log1mexp(a):
 
 
 def below_crossing(m: int, level):
-    """A start x with ln sf(m, x) > level, element-wise for levels < 0: the
-    largest of three lower bounds on the crossing.  ln sf(m, x) >= -x; the
-    Chernoff bound P{Erlang(m) <= x} <= exp(-(m - x)^2 / (2 m)) for x < m;
-    and P{Erlang(m) <= x} < x^m / m!, taken a relative 1e-6 low so that
-    rounding cannot put it past a crossing it nearly meets (at small x)."""
+    """An x with ln sf(m, x) > level, element-wise for levels < 0: the
+    largest of three lower bounds on the crossing, ln sf(m, x) >= -x (exact
+    at m = 1), the Chernoff bound P{Erlang(m) <= x} <= exp(-(m - x)^2 / (2 m))
+    for x < m and P{Erlang(m) <= x} < x^m / m!, the first and last taken a
+    relative 1e-6 low so that rounding cannot put them past the crossing."""
     log_cdf = log1mexp(-np.asarray(level, dtype=np.float64))
     chernoff = m - np.sqrt(-2.0 * m * log_cdf)
     power = np.exp((log_cdf + math.lgamma(m + 1.0)) / m) * (1.0 - 1e-6)
-    return np.maximum(np.maximum(-0.5 * level, chernoff), power)
+    return np.maximum(np.maximum(-(1.0 - 1e-6) * level, chernoff), power)
+
+
+def above_crossing(m: int, level):
+    """An x with ln sf(m, x) < level, element-wise for levels < 0, capped at
+    the largest double: the sub-gamma tail bound P{Erlang(m) > m +
+    sqrt(2 m c) + c} <= e^-c (Boucheron, Lugosi and Massart, Concentration
+    Inequalities, 2013, 2.4) at c = -level, with c a relative 1e-6 high."""
+    c = -np.asarray(level, dtype=np.float64)
+    excess = m + math.sqrt(2.0 * m) * np.sqrt(c) + 1e-6 * c
+    return c + np.minimum(excess, _MAX - c)
 
 
 # Relative bracket width of erlang_log_sf_inverse: above the kernel's stated
@@ -414,20 +417,20 @@ def erlang_log_sf_inverse(m: int, level):
     an array of the input's shape, each element solved on its own.  0 at
     level 0 and inf at level -inf; NaN or a positive level raises ValueError.
     A subnormal level, above -2.2e-308, is solved as -2.2e-308: ln sf near
-    it has too few digits to resolve the crossing.
+    it has too few digits to resolve the crossing.  Levels within about
+    1e-13 of minus the largest double may raise NumericError.
 
     The search runs on ln(-ln sf), the log of the cumulative hazard, which
     rises like m ln x far below the mode and like ln x far above it, so
     Newton converges fast at every level; on ln sf itself each step far
-    below the mode gains only about one e-fold of F_m.  It takes a
-    ``newton_bracket`` of relative width 1e-12, started at
-    ``below_crossing``, then one Newton step from its midpoint, kept inside
-    the bracket: that step's error is quadratic in the midpoint's, so x is as
-    accurate as the kernel and its rounding allow.  That matters where
-    x hazard(x) is large: at m = 1e6 it is 800 at the mode, so a relative
-    1e-15 of x moves ln sf by 8e-13.
+    below the mode gains only about one e-fold of F_m.  A ``newton_bracket``
+    of relative width 1e-12 between ``below_crossing`` and ``above_crossing``
+    is followed by one Newton step from its midpoint, kept inside it, whose
+    error is quadratic in the midpoint's: x is as accurate as the kernel and
+    its rounding allow.  That matters where x hazard(x) is large: at
+    m = 1e6 it is 800 at the mode, so 1e-15 of x moves ln sf by 8e-13.
     """
-    m = _check_shape(m)
+    m = check_count(m, "Erlang shape")
     level = np.array(level, dtype=np.float64)
     flat = level.reshape(-1)
     if np.isnan(flat).any() or (flat > 0.0).any():
@@ -437,26 +440,25 @@ def erlang_log_sf_inverse(m: int, level):
     if inner.any():
         target = np.minimum(flat[inner], -_TINY)
 
-        def log_hazard_sum(x):  # ln(-ln sf), -inf where sf rounds to 1
-            with np.errstate(divide="ignore"):
+        def log_hazard_sum(x):  # ln(-ln sf): -inf where sf is 1, inf where 0
+            with np.errstate(divide="ignore", over="ignore"):
                 return np.log(-erlang_log_sf(m, x))
 
         def slope(x, g):  # hazard / cumulative hazard, with -ln sf = e^g
-            return np.exp(erlang_log_pdf(m, x) + np.exp(g) - g)
+            # ln hazard <= 0; far above the mode it cancels to no digit
+            return np.exp(np.minimum(erlang_log_pdf(m, x) + np.exp(g), 0.0) - g)
 
         log_target = np.log(-target)
         left, right = newton_bracket(
-            log_hazard_sum,
-            slope,
-            log_target,
-            below_crossing(m, target),
-            1e18,
-            "Erlang survival inverse diverged",
-            _INVERSE_REL_WIDTH,
+            log_hazard_sum, slope, log_target,
+            below_crossing(m, target), above_crossing(m, target),
+            "Erlang survival inverse failed to bracket its level", _INVERSE_REL_WIDTH,
         )
-        mid = 0.5 * (left + right)
+        mid = 0.5 * left + 0.5 * right
         g = log_hazard_sum(mid)
-        out[inner] = np.clip(mid + (log_target - g) / slope(mid, g), left, right)
+        with np.errstate(all="ignore"):
+            x = mid + (log_target - g) / slope(mid, g)  # the slope may be 0
+        out[inner] = np.clip(np.where(np.isnan(x), mid, x), left, right)
     return float(out[0]) if level.ndim == 0 else out.reshape(level.shape)
 
 
@@ -495,7 +497,7 @@ def tricomi_log_sf(m: int, x: float) -> float:
     Requires x - m > sqrt(m); outside that window the expansion is not
     trustworthy and a ValueError is raised.
     """
-    m = _check_shape(m)
+    m = check_count(m, "Erlang shape")
     d = x - m
     if d <= math.sqrt(m):
         raise ValueError(

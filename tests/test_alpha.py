@@ -56,6 +56,22 @@ class TestSolveAlpha:
         assert solve_alpha(np.int64(2)) == solve_alpha(2.0)
         assert solve_alpha(np.float32(2.0)) == solve_alpha(2.0)
 
+    def test_whole_normal_range(self):
+        # From about beta = 1e29 on both ends of the bracket round to
+        # sqrt(2/beta), already narrower than the search's width
+        for beta in np.logspace(-307, 308, 124):
+            sol = solve_alpha(float(beta))
+            assert math.isfinite(sol.alpha) and sol.alpha >= beta
+            assert abs(sol.residual) <= 1e-12
+
+    def test_subnormal_beta_is_a_domain_error(self):
+        # 1/beta overflows; rejected before any warning
+        for beta in (1e-310, 5e-324):
+            with pytest.raises(ValueError, match="beta"):
+                solve_alpha(beta)
+            with pytest.raises(ValueError, match="beta"):
+                bridging_gap(beta)
+
     @settings(max_examples=50, deadline=None)
     @given(
         beta=st.floats(min_value=1e-3, max_value=1e3),

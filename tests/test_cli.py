@@ -49,6 +49,13 @@ class TestAlphaCommand:
         assert code == 2
         assert "beta" in err
 
+    def test_subnormal_beta_is_usage_error(self, capsys):
+        # 1/beta overflows: no record with an infinite alpha, and no warning
+        code, out, err = run_cli(capsys, "alpha", "--beta", "1e-310")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "beta" in err
+
     def test_large_beta_reports_expansion(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--beta", "10000")
         assert code == 0
@@ -110,6 +117,15 @@ class TestMomentsCommand:
         assert [row[2] for row in rows] == ["3", "1", "2"]
         values = [float(row[3]) for row in rows]
         assert values[1] < values[2] < values[0]
+
+    def test_unreachable_tolerance_is_numeric_failure(self, capsys):
+        # below the trapezoid's 1e-14 rounding floor
+        code, out, err = run_cli(
+            capsys, "moments", "--m", "2", "--n", "3", "--orders", "1", "--rel-tol", "1e-15"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure:")
 
     def test_bad_orders(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--m", "1", "--n", "2", "--orders", "x")

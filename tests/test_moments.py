@@ -141,6 +141,16 @@ class TestRisingMoment:
             got = rising_moment(ProblemSize(m, n), 2).value
             assert got == pytest.approx(expect, rel=1e-8)
 
+    def test_exact_distribution_rising_moment(self):
+        # ExactDistribution.rising_moment is the exact reference that
+        # perfbench checks every moments row against
+        for m, n in [(2, 3), (3, 4)]:
+            dist = exact_dist_small(ProblemSize(m, n))
+            assert dist.rising_moment(1) == dist.mean()
+            for r in (1, 2, 3):
+                got = rising_moment(ProblemSize(m, n), r).value
+                assert dist.rising_moment(r) == pytest.approx(got, rel=1e-9)
+
     def test_lower_bound(self):
         for m, n, r in [(2, 3, 1), (3, 2, 2), (4, 4, 3)]:
             value = rising_moment(ProblemSize(m, n), r).value
@@ -245,16 +255,16 @@ class TestCrossing:
             evaluations.append(x)
             return x * x
 
-        lo, hi = newton_bracket(g, lambda x, _: 2.0 * x, 10.0, 1.0, 1e18, "unused")
+        lo, hi = newton_bracket(g, lambda x, _: 2.0 * x, 10.0, 1.0, 4.0, "unused")
         assert lo * lo <= 10.0 < hi * hi
         assert 0.0 < hi - lo <= 1e-9 * hi
-        # 2 doublings, then one evaluation per Newton step
-        assert evaluations[:3] == [1.0, 2.0, 4.0]
-        assert len(evaluations) <= 3 + 8
+        # both ends in one call, then one evaluation per Newton step
+        assert list(evaluations[0]) == [1.0, 4.0]
+        assert len(evaluations) <= 1 + 8
 
     def test_brackets_an_increasing_g(self):
         lo, hi = newton_bracket(
-            lambda x: x**3, lambda x, _: 3.0 * x * x, 10.0, 0.5, 1e18, "unused"
+            lambda x: x**3, lambda x, _: 3.0 * x * x, 10.0, 0.5, 4.0, "unused"
         )
         assert lo**3 <= 10.0 < hi**3
         assert 0.0 < hi - lo <= 1e-9 * hi
@@ -264,7 +274,7 @@ class TestCrossing:
     )
     def test_bisects_where_newton_cannot_step(self, slope):
         # A zero slope, or one of the wrong sign, whose steps leave the bracket
-        lo, hi = newton_bracket(lambda x: x * x, slope, 10.0, 1.0, 1e18, "unused")
+        lo, hi = newton_bracket(lambda x: x * x, slope, 10.0, 1.0, 4.0, "unused")
         assert lo * lo <= 10.0 < hi * hi
         assert hi - lo <= 1e-9 * hi
 
@@ -281,33 +291,43 @@ class TestCrossing:
             return np.minimum(x, 5.0)
 
         with pytest.raises(NumericError, match="flat"):
-            newton_bracket(g, lambda x, _: 1.0, np.nextafter(5.0, 0.0), 1.0, 1e18, "flat")
-        assert calls == 1 + 3 + 200  # the start, 3 doublings, every Newton step
+            newton_bracket(g, lambda x, _: 1.0, np.nextafter(5.0, 0.0), 1.0, 8.0, "flat")
+        assert calls == 1 + 200  # both ends at once, every Newton step
 
     def test_array_elements_search_on_their_own(self):
         # Each element's bracket equals its scalar search, whatever the
-        # batch: levels needing 1 to 40 doublings and different step counts
+        # batch: brackets from 2 to 2e12 wide and different step counts
         levels = np.geomspace(0.5, 1e24, 9)
-        starts = np.linspace(0.5, 2.0, 9)
+        lefts = np.linspace(0.5, 2.0, 9)
+        rights = np.sqrt(levels) * np.linspace(1.5, 2.0, 9)
         g = lambda x: x * x
         slope = lambda x, _: 2.0 * x
-        lo, hi = newton_bracket(g, slope, levels, starts, 1e18, "unused")
+        lo, hi = newton_bracket(g, slope, levels, lefts, rights, "unused")
         for i in range(len(levels)):
             assert (lo[i], hi[i]) == newton_bracket(
-                g, slope, levels[i], starts[i], 1e18, "unused"
+                g, slope, levels[i], lefts[i], rights[i], "unused"
             )
-        lo2, hi2 = newton_bracket(g, slope, levels[::-1], starts[::-1], 1e18, "unused")
+        flipped = (levels[::-1], lefts[::-1], rights[::-1])
+        lo2, hi2 = newton_bracket(g, slope, *flipped, "unused")
         assert np.array_equal(lo2, lo[::-1]) and np.array_equal(hi2, hi[::-1])
-        square = (levels.reshape(3, 3), starts.reshape(3, 3))
-        lo3, hi3 = newton_bracket(g, slope, *square, 1e18, "unused")
+        square = (a.reshape(3, 3) for a in (levels, lefts, rights))
+        lo3, hi3 = newton_bracket(g, slope, *square, "unused")
         assert np.array_equal(lo3, lo.reshape(3, 3))
         assert np.array_equal(hi3, hi.reshape(3, 3))
 
-    def test_gives_up_past_the_limit(self):
-        with pytest.raises(NumericError, match="search diverged"):
-            newton_bracket(
-                lambda x: 0.0, lambda x, _: 0.0, 1.0, 1.0, 1e3, "search diverged"
-            )
+    def test_ends_that_do_not_straddle_raise(self):
+        g = lambda x: x * x
+        slope = lambda x, _: 2.0 * x
+        # both ends above, both below, and g(right) on the level itself
+        for level, left, right in [(10.0, 4.0, 5.0), (10.0, 1.0, 2.0), (9.0, 1.0, 3.0)]:
+            with pytest.raises(NumericError, match="no crossing"):
+                newton_bracket(g, slope, level, left, right, "no crossing")
+        levels, lefts = np.array([10.0, 10.0]), np.array([1.0, 4.0])
+        with pytest.raises(NumericError, match="no crossing"):
+            newton_bracket(g, slope, levels, lefts, lefts + 1.0, "no crossing")
+        # a bracket already narrower than rel_width is returned as given,
+        # straddling or not: rounding may have collapsed its ends
+        assert newton_bracket(g, slope, 10.0, 4.0, 4.0, "unused") == (4.0, 4.0)
 
 
 class TestTailWindow:
@@ -336,6 +356,9 @@ class TestTailWindow:
         monkeypatch.setattr(special, "erlang_log_sf", counted)
         mean_delay(ProblemSize(5, 1000))
         assert calls <= 20  # one Newton search over all 189 nodes
+        calls = 0
+        mean_delay(ProblemSize(10**6, 10))
+        assert calls <= 8  # both ends, 6 Newton steps and the final one
 
     def test_fixed_step_meets_any_tolerance(self):
         # The step is never refined: the sum at step 1/4 and its every-other-
@@ -454,6 +477,17 @@ class TestMgf:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError):
+                mgf_delta(ProblemSize(m, n), nz / n)
+
+    @pytest.mark.parametrize(
+        "m, n, nz", [(1000, 1, 0.74), (1000, 1, 0.8), (1000, 2, 0.9), (1000, 2, 0.95)]
+    )
+    def test_overflow_by_jensen_says_so(self, m, n, nz):
+        # z m n > ln(largest double), so E[e^{z Delta}] >= e^{z m n}
+        # overflows; that is said before any scan looks for the peak
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="exceeds the largest double"):
                 mgf_delta(ProblemSize(m, n), nz / n)
 
     def test_unreachable_tail_raises(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coupon_delay import special
 from coupon_delay.special import (
+    above_crossing,
     below_crossing,
     erlang_log_sf,
     erlang_log_sf_inverse,
@@ -215,7 +216,7 @@ class TestErlangLogSfInverse:
         monkeypatch.setattr(special, "erlang_log_sf", counted)
         level = log1mexp(np.random.default_rng(4).standard_exponential(2000) / 4.0)
         erlang_log_sf_inverse(3, level)
-        assert calls <= 12  # 10 at width 1e-12; a width of 4e-16 took 62
+        assert calls <= 10  # 9 at width 1e-12; a width of 4e-16 took 61
 
     def test_log1mexp(self):
         a = np.array([0.0, 1e-300, 1e-10, math.log(2.0), 1.0, 40.0, 800.0])
@@ -229,6 +230,21 @@ class TestErlangLogSfInverse:
     def test_start_is_below_the_crossing(self, m):
         level = -np.geomspace(1e-300, 700.0, 200)
         assert (erlang_log_sf(m, below_crossing(m, level)) > level).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 40, 41, 1000, 10**6])
+    def test_end_is_above_the_crossing(self, m):
+        level = -np.geomspace(2.2e-308, 708.0, 200)
+        assert (erlang_log_sf(m, above_crossing(m, level)) < level).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 40, 41, 1000, 10**6])
+    def test_far_levels_solve_without_warnings(self, m):
+        # Far above the mode the slope's log hazard, a difference of two
+        # numbers near x, keeps no digit; the bracket still holds the root
+        level = -np.geomspace(1e15, 1.797e308, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = erlang_log_sf_inverse(m, level)
+        np.testing.assert_allclose(erlang_log_sf(m, x), level, rtol=1e-12)
 
 
 class TestErlangCdf:
