@@ -55,7 +55,6 @@ from .simulate import (
 )
 from .special import (
     erlang_log_sf,
-    gumbel_cdf,
     normal_cdf,
     tricomi_log_sf,
 )

@@ -7,9 +7,12 @@ moments      rising moments by quadrature, with asymptotic predictions (CSV)
 simulate     Monte Carlo samples of D / Delta / coupled pairs
 limit-check  KS goodness of fit of simulated samples against a limit law
 
-Every randomized command requires an explicit --seed, and given identical
-flags (and any COUPON_DELAY_THREADS value) produces identical scientific
-output; the JSON `wall_time_ms` field is the one measurement that varies.
+``moments`` prints CSV; the other commands return their results, which
+``main`` prints as one JSON record (OUTPUT_RECORD_SCHEMA): ``params`` are
+the parsed flags, and ``wall_time_ms``, the time of the command call, is
+the one field that varies run to run.  Every randomized command requires
+an explicit --seed, and given identical flags (and any
+COUPON_DELAY_THREADS value) produces identical scientific output.
 Exit codes: 0 success, 2 usage or domain error, 3 numeric failure.
 """
 
@@ -71,41 +74,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
-
-
-def cmd_alpha(args) -> int:
-    t0 = time.perf_counter()
+def cmd_alpha(args) -> dict:
     sol = solve_alpha(args.beta)
     excess = sol.alpha / sol.beta - 1.0
-    record = {
-        "command": "alpha",
-        "params": {"beta": sol.beta},
-        "results": {
-            "alpha": sol.alpha,
-            "residual": sol.residual,
-            "iterations": sol.iterations,
-            "alpha_over_beta_minus_one": excess,
-            "sqrt_two_over_beta": math.sqrt(2.0 / sol.beta),
-            "bridging_gap": excess * math.sqrt(sol.beta) - math.sqrt(2.0),
-        },
-        "wall_time_ms": (time.perf_counter() - t0) * 1e3,
+    return {
+        "alpha": sol.alpha,
+        "residual": sol.residual,
+        "iterations": sol.iterations,
+        "alpha_over_beta_minus_one": excess,
+        "sqrt_two_over_beta": math.sqrt(2.0 / sol.beta),
+        "bridging_gap": excess * math.sqrt(sol.beta) - math.sqrt(2.0),
     }
-    _emit(record)
-    return 0
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args) -> None:
     ps = ProblemSize(m=args.m, n=args.n)
     cfg = QuadratureConfig(rel_tol=args.rel_tol)
     orders = _parse_orders(args.orders)
     regime = Critical(beta=args.beta) if args.beta is not None else Supercritical()
-    # (alpha/beta n m)^r or (n m)^r: one alpha solve serves every order
-    unit = asymptotic_moment(ps, regime, 1)
     rows = []
     for r, result in zip(orders, rising_moments(ps, orders, cfg)):
-        predicted = unit**r
+        predicted = asymptotic_moment(ps, regime, r)
         rows.append(
             [
                 args.m,
@@ -121,7 +110,6 @@ def cmd_moments(args) -> int:
     print(",".join(_CSV_COLUMNS))
     for row in rows:
         print(",".join(str(cell) for cell in row))
-    return 0
 
 
 def _parse_orders(raw: str) -> list[int]:
@@ -141,8 +129,7 @@ _SAMPLERS = {
 }
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args) -> dict:
     config = SimConfig(
         ps=ProblemSize(m=args.m, n=args.n),
         reps=args.reps,
@@ -154,7 +141,7 @@ def cmd_simulate(args) -> int:
         write_samples_csv(batch, args.out)
     results = {}
     if batch.d_values is not None:
-        mean, se = empirical_moments(batch, 1)
+        mean, se = empirical_moments(batch.d_values)
         results.update(
             {
                 "mean_d": mean,
@@ -164,30 +151,9 @@ def cmd_simulate(args) -> int:
             }
         )
     if batch.delta_values is not None:
-        x = batch.delta_values
-        results.update(
-            {
-                "mean_delta": float(x.mean()),
-                "se_delta": float(x.std(ddof=1) / math.sqrt(len(x)))
-                if len(x) > 1
-                else 0.0,
-            }
-        )
-    record = {
-        "command": "simulate",
-        "params": {
-            "m": args.m,
-            "n": args.n,
-            "reps": args.reps,
-            "seed": args.seed,
-            "mode": args.mode,
-            "out": args.out,
-        },
-        "results": results,
-        "wall_time_ms": (time.perf_counter() - t0) * 1e3,
-    }
-    _emit(record)
-    return 0
+        mean, se = empirical_moments(batch.delta_values)
+        results.update({"mean_delta": mean, "se_delta": se})
+    return results
 
 
 def _build_regime(args):
@@ -202,8 +168,7 @@ def _build_regime(args):
     return Critical(beta=args.beta)
 
 
-def cmd_limit_check(args) -> int:
-    t0 = time.perf_counter()
+def cmd_limit_check(args) -> dict:
     regime = _build_regime(args)
     config = SimConfig(
         ps=ProblemSize(m=args.m, n=args.n),
@@ -223,24 +188,9 @@ def cmd_limit_check(args) -> int:
         else "standard_gumbel",
     }
     if isinstance(regime, Critical):
-        sol = solve_alpha(regime.beta)
-        results["alpha"] = sol.alpha
+        results["alpha"] = regime.alpha
         results["b"] = derive_b(args.m, args.n, regime.beta)
-    record = {
-        "command": "limit-check",
-        "params": {
-            "regime": args.regime,
-            "m": args.m,
-            "n": args.n,
-            "beta": args.beta,
-            "reps": args.reps,
-            "seed": args.seed,
-        },
-        "results": results,
-        "wall_time_ms": (time.perf_counter() - t0) * 1e3,
-    }
-    _emit(record)
-    return 0
+    return results
 
 
 @functools.cache
@@ -300,14 +250,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func")}
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        results = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    if results is not None:
+        record = {
+            "command": args.subcommand,
+            "params": params,
+            "results": results,
+            "wall_time_ms": (time.perf_counter() - t0) * 1e3,
+        }
+        print(json.dumps(record, sort_keys=True))
+    return 0
 
 
 def entrypoint() -> None:

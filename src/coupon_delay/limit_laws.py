@@ -17,7 +17,7 @@ Gumbel limit is the standard Gumbel at y - ln c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -59,12 +59,16 @@ class Supercritical:
 
 @dataclass(frozen=True)
 class Critical:
+    """m ~ beta ln(n); ``alpha``, the regime constant, is solved once here."""
+
     beta: float
+    alpha: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if not is_positive_real(self.beta):
             raise ValueError(f"Critical needs a positive real beta, got {self.beta!r}")
         object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "alpha", solve_alpha(self.beta).alpha)
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,7 @@ def normalization(regime: Regime, m: int, n: int) -> Normalization:
         return Normalization(center=center, scale=scale, target=StandardGumbel())
 
     if isinstance(regime, Critical):
-        beta = regime.beta
-        alpha = solve_alpha(beta).alpha
+        beta, alpha = regime.beta, regime.alpha
         b = derive_b(m, n, beta)
         const = critical_constant(alpha, beta)
         gap = alpha - beta

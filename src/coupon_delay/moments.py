@@ -26,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from .alpha import solve_alpha
 from .errors import NumericError
 from .limit_laws import Critical, FixedM, FixedN, Regime, Supercritical
 from .special import (
@@ -441,7 +440,7 @@ def asymptotic_moment(ps: ProblemSize, regime: Regime, r: int) -> float:
     if isinstance(regime, (Supercritical, FixedN)):
         return float(ps.n * ps.m) ** r
     if isinstance(regime, Critical):
-        ratio = solve_alpha(regime.beta).alpha / regime.beta
+        ratio = regime.alpha / regime.beta
         return (ratio * ps.n * ps.m) ** r
     if isinstance(regime, FixedM):
         raise ValueError(

@@ -137,7 +137,13 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
 
     def worker(rep: int) -> tuple[int, float]:
         rng = _rep_rng(config.seed, rep)
-        g = rng.standard_gamma(m, size=n)
+        try:
+            g = rng.standard_gamma(m, size=n)
+        except MemoryError:
+            raise ValueError(
+                f"n = {n} completion times per replication do not fit in memory;"
+                " --mode poissonized costs O(1) per replication"
+            ) from None
         x = g.max()
         return m * n + int(rng.poisson((x - g).sum())), float(n * x)
 
@@ -205,11 +211,13 @@ def ks_distance(batch: SampleBatch, regime: Regime) -> KSReport:
     )
 
 
-def empirical_moments(batch: SampleBatch, r: int = 1) -> tuple[float, float]:
-    """(mean, standard error) of X^r over the batch's primary values."""
+def empirical_moments(values, r: int = 1) -> tuple[float, float]:
+    """(mean, standard error) of X^r over a nonempty 1-d sample."""
     if r < 1:
         raise ValueError("moment order must be >= 1")
-    x = batch.primary_values().astype(np.float64) ** r
+    x = np.asarray(values, dtype=np.float64) ** r
+    if len(x) == 0:
+        raise ValueError("empty sample")
     if len(x) == 1:
         return float(x[0]), 0.0
     return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))

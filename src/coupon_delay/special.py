@@ -23,7 +23,6 @@ __all__ = [
     "erlang_log_sf",
     "tricomi_log_sf",
     "normal_cdf",
-    "gumbel_cdf",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -269,15 +268,17 @@ def erlang_log_pdf(m: int, x):
     (m - 1) ln x - x - lgamma(m) cancels terms near m ln m; outside the band
     lam - 1 - ln lam has no cancellation of its own.  lam is floored at the
     smallest positive double, so that an x/m that rounds to 0 gives no log
-    of 0; the density underflows there anyway."""
+    of 0; the density underflows there anyway.  Within a few ulps of the
+    largest double, m times lam - 1 - ln lam may round past it: -inf."""
     if m <= _FINITE_SUM_MAX_SHAPE:
         return (m - 1) * np.log(x) - x - math.lgamma(m)
-    return (
-        -m * ((x - m) / m - np.log(np.maximum(x / m, _SMALLEST)))
-        - 0.5 * math.log(2.0 * math.pi / m)
-        - _ln_gamma_star(m)
-        - np.log(x)
-    )
+    with np.errstate(over="ignore"):
+        return (
+            -m * ((x - m) / m - np.log(np.maximum(x / m, _SMALLEST)))
+            - 0.5 * math.log(2.0 * math.pi / m)
+            - _ln_gamma_star(m)
+            - np.log(x)
+        )
 
 
 def _below(m: int, x):
@@ -522,10 +523,3 @@ def normal_cdf(u):
     0.5 * math.erfc(-u / sqrt(2))."""
     value = 0.5 * _erfc(-np.asarray(u, dtype=np.float64) / _SQRT2)
     return float(value) if np.ndim(value) == 0 else value
-
-
-def gumbel_cdf(y: float) -> float:
-    """Standard Gumbel distribution function exp(-e^{-y})."""
-    if y < -700.0:
-        return 0.0
-    return math.exp(-math.exp(-y))

@@ -7,7 +7,7 @@ import sys
 import jsonschema
 import pytest
 
-from coupon_delay import alpha, cli, limit_laws, moments
+from coupon_delay import alpha, cli, limit_laws
 from coupon_delay.cli import OUTPUT_RECORD_SCHEMA, main
 
 
@@ -25,7 +25,7 @@ def record_alpha_solves(monkeypatch):
         betas.append(beta)
         return alpha.solve_alpha(beta)
 
-    for module in (cli, limit_laws, moments):
+    for module in (cli, limit_laws):
         monkeypatch.setattr(module, "solve_alpha", recorded)
     return betas
 
@@ -41,6 +41,8 @@ class TestAlphaCommand:
         code, out, _ = run_cli(capsys, "alpha", "--beta", "1")
         assert code == 0
         record = last_json(out)
+        assert record["command"] == "alpha"
+        assert record["params"] == {"beta": 1.0}
         assert record["results"]["alpha"] == pytest.approx(3.146193, abs=1e-5)
         assert abs(record["results"]["residual"]) <= 1e-12
 
@@ -167,8 +169,25 @@ class TestSimulateCommand:
             "--seed", "3", "--mode", "coupled",
         )
         assert code == 0
-        results = last_json(out)["results"]
+        record = last_json(out)
+        assert record["command"] == "simulate"
+        assert record["params"] == {
+            "m": 1, "n": 2, "reps": 100000, "seed": 3, "mode": "coupled", "out": None
+        }
+        results = record["results"]
         assert abs(results["mean_d"] - 3.0) <= 3 * results["se_d"]
+
+    @pytest.mark.parametrize("mode", ["discrete", "coupled"])
+    def test_unallocatable_n_is_usage_error(self, capsys, mode):
+        # no address space holds 1e18 doubles, so nothing is allocated
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--m", "1", "--n", str(10**18), "--reps", "1",
+            "--seed", "0", "--mode", mode,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--mode poissonized" in err
 
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -184,7 +203,12 @@ class TestLimitCheckCommand:
             "--reps", "2000", "--seed", "5",
         )
         assert code == 0
-        results = last_json(out)["results"]
+        record = last_json(out)
+        assert record["command"] == "limit-check"
+        assert record["params"] == {
+            "regime": "fixed-m", "m": 1, "n": 10000, "beta": None, "reps": 2000, "seed": 5
+        }
+        results = record["results"]
         assert results["target"] == "standard_gumbel"
         assert 0.0 <= results["ks_statistic"] <= 0.08
 
@@ -228,8 +252,8 @@ class TestLimitCheckCommand:
         assert results["alpha"] == pytest.approx(4.71535, abs=1e-4)
         assert abs(results["b"]) <= 1e-4
 
-    def test_critical_solves_alpha_twice(self, capsys, monkeypatch):
-        # once for the normalization, once for the reported alpha
+    def test_critical_solves_alpha_once(self, capsys, monkeypatch):
+        # the regime carries alpha to the normalization and the report
         betas = record_alpha_solves(monkeypatch)
         code, _, _ = run_cli(
             capsys,
@@ -237,7 +261,7 @@ class TestLimitCheckCommand:
             "--beta", "2", "--reps", "50", "--seed", "5",
         )
         assert code == 0
-        assert betas == [2.0, 2.0]
+        assert betas == [2.0]
 
 
 class TestProcessLevel:

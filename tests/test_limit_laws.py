@@ -17,7 +17,7 @@ from coupon_delay.limit_laws import (
     target_cdf,
 )
 from coupon_delay.moments import asymptotic_mean_fixed_m
-from coupon_delay.special import gumbel_cdf, normal_cdf
+from coupon_delay.special import normal_cdf
 
 LOG_2SQRTPI = math.log(2.0 * math.sqrt(math.pi))
 
@@ -140,18 +140,19 @@ class TestLimitCdf:
         for m in (1, 2, 3, 5):
             for y in (-1.0, 0.0, 2.0):
                 expected = math.exp(-math.exp(-y) / math.factorial(m - 1))
-                got = gumbel_cdf(y + math.lgamma(m))
+                got = target_cdf(StandardGumbel(), y + math.lgamma(m))
                 assert got == pytest.approx(expected, rel=1e-13)
 
     def test_supercritical_at_zero(self):
         expected = math.exp(-1.0 / (2 * math.sqrt(math.pi)))
-        assert gumbel_cdf(LOG_2SQRTPI) == pytest.approx(expected, rel=1e-13)
+        got = target_cdf(StandardGumbel(), LOG_2SQRTPI)
+        assert got == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(0.754, abs=1e-3)
 
     def test_critical_at_zero(self):
         alpha = solve_alpha(1.0).alpha
         coeff = math.sqrt(1.0) / (math.sqrt(2 * math.pi) * (alpha - 1.0))
-        got = gumbel_cdf(critical_constant(alpha, 1.0))
+        got = target_cdf(StandardGumbel(), critical_constant(alpha, 1.0))
         assert got == pytest.approx(math.exp(-coeff), rel=1e-13)
         assert got == pytest.approx(0.8304, abs=2e-4)
 
@@ -179,12 +180,12 @@ class TestLimitCdf:
             coeff = math.sqrt(beta) / (math.sqrt(2 * math.pi) * (alpha - beta))
             for y in np.linspace(-3, 6, 19):
                 bare = math.exp(-coeff * math.exp(-y))
-                assert abs(bare - gumbel_cdf(y + const)) <= 1e-12
+                assert abs(bare - target_cdf(StandardGumbel(), y + const)) <= 1e-12
 
     def test_supercritical_presentations_agree(self):
         for y in np.linspace(-3, 6, 19):
             bare = math.exp(-math.exp(-y) / (2 * math.sqrt(math.pi)))
-            assert abs(bare - gumbel_cdf(y + LOG_2SQRTPI)) <= 1e-12
+            assert abs(bare - target_cdf(StandardGumbel(), y + LOG_2SQRTPI)) <= 1e-12
 
 
 class TestSupercriticalFormEquivalence:

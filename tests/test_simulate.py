@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupon_delay.limit_laws import FixedM, FixedN
+from coupon_delay.limit_laws import FixedM, FixedN, StandardGumbel, target_cdf
 from coupon_delay.moments import ProblemSize, exact_dist_small, mean_delay
 from coupon_delay import simulate
 from coupon_delay.simulate import (
@@ -23,7 +23,7 @@ from coupon_delay.simulate import (
     sample_poissonized,
     write_samples_csv,
 )
-from coupon_delay.special import delta_from_exponential, gumbel_cdf
+from coupon_delay.special import delta_from_exponential
 
 
 _SAMPLERS = {
@@ -89,6 +89,12 @@ class TestDiscreteSampler:
         d = batch.d_values.astype(float)
         se = d.std(ddof=1) / math.sqrt(reps)
         assert abs(d.mean() - 5.5) <= 3 * se
+
+    @pytest.mark.parametrize("mode", [MODE_DISCRETE, MODE_COUPLED])
+    def test_unallocatable_n_is_a_domain_error(self, mode):
+        # no address space holds 1e18 doubles, so nothing is allocated
+        with pytest.raises(ValueError, match=f"n = {10**18} .*poissonized"):
+            _SAMPLERS[mode](_config(1, 10**18, 1, 0, mode))
 
 
 class TestPoissonizedSampler:
@@ -252,7 +258,7 @@ class TestKS:
         # statistic must sit below the asymptotic 99% quantile 1.63/sqrt(N)
         rng = np.random.default_rng(2026)
         y = np.sort(-np.log(-np.log(rng.random(5000))))
-        model = np.array([gumbel_cdf(v) for v in y])
+        model = target_cdf(StandardGumbel(), y)
         assert ks_statistic(y, model) <= 0.031
 
     def test_harness_control_single_coverage(self):
@@ -300,14 +306,16 @@ class TestEmpiricalMoments:
     def test_constant_batch(self):
         cfg = _config(1, 5, 3, 0, MODE_DISCRETE)
         batch = SampleBatch(config=cfg, d_values=np.array([5, 5, 5]))
-        est, se = empirical_moments(batch, 1)
+        est, se = empirical_moments(batch.primary_values(), 1)
         assert est == 5.0
         assert se == 0.0
+        with pytest.raises(ValueError):
+            empirical_moments(np.array([]))
 
     def test_second_moment(self):
         cfg = _config(1, 5, 2, 0, MODE_DISCRETE)
         batch = SampleBatch(config=cfg, d_values=np.array([2, 4]))
-        est, se = empirical_moments(batch, 2)
+        est, se = empirical_moments(batch.primary_values(), 2)
         assert est == 10.0
         assert se == pytest.approx(6.0, rel=1e-12)
 

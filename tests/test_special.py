@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupon_delay import special
+from coupon_delay.limit_laws import StandardGumbel, target_cdf
 from coupon_delay.special import (
     above_crossing,
     below_crossing,
     erlang_log_sf,
     erlang_log_sf_inverse,
-    gumbel_cdf,
     log1mexp,
     normal_cdf,
     tricomi_log_sf,
@@ -60,6 +60,19 @@ class TestErlangLogSf:
             warnings.simplefilter("error")
             assert erlang_log_sf(m, 5e-324) == 0.0
             assert (erlang_log_sf(m, np.array([5e-324, 1e-320])) == 0.0).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 40, 41, 1000, 10**6])
+    def test_near_the_largest_double_gives_no_warning(self, m):
+        # ln sf is about -x there; at m = 1e6 the largest double itself
+        # reads -inf, because m (lam - 1 - ln lam) rounds past it
+        xs = np.array([1e300, 1e307, sys.float_info.max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [erlang_log_sf(m, float(x)) for x in xs]
+            assert erlang_log_sf(m, xs).tolist() == values
+        assert values[:2] == pytest.approx(-xs[:2], rel=1e-15)
+        last = -math.inf if m == 10**6 else pytest.approx(-xs[2], rel=1e-15)
+        assert values[2] == last
 
     def test_shape_validation(self):
         for m in (0, 2.0, True):
@@ -323,15 +336,18 @@ class TestBerryEsseen:
 
 
 class TestGumbelCdf:
+    """The standard Gumbel CDF, exp(-e^-y), is target_cdf(StandardGumbel(), y)."""
+
     def test_at_zero(self):
-        assert gumbel_cdf(0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert target_cdf(StandardGumbel(), 0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_limits(self):
-        assert gumbel_cdf(math.inf) == 1.0
-        assert gumbel_cdf(-800.0) == 0.0
+        assert target_cdf(StandardGumbel(), math.inf) == 1.0
+        assert target_cdf(StandardGumbel(), -800.0) == 0.0
 
     def test_median(self):
-        assert gumbel_cdf(-math.log(math.log(2.0))) == pytest.approx(0.5, rel=1e-14)
+        median = -math.log(math.log(2.0))
+        assert target_cdf(StandardGumbel(), median) == pytest.approx(0.5, rel=1e-14)
 
 
 @pytest.fixture(scope="module")
