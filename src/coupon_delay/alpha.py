@@ -35,6 +35,12 @@ class AlphaSolution:
     residual: float  # alpha - beta ln(alpha) - (beta - beta ln(beta) + 1)
     iterations: int  # root-search steps after the bracket
 
+    @property
+    def bridging_gap(self) -> float:
+        """(alpha - beta)/sqrt(beta) - sqrt(2): tends to 0 as beta grows, as
+        the critical-regime constants merge into the supercritical ones."""
+        return (self.alpha / self.beta - 1.0) * math.sqrt(self.beta) - math.sqrt(2.0)
+
 
 def _excess_log_gap(u):
     """u - log1p(u), element-wise, without cancellation below u = 0.5."""
@@ -88,11 +94,5 @@ def solve_alpha(beta: float) -> AlphaSolution:
 
 
 def bridging_gap(beta: float) -> float:
-    """Deviation (alpha - beta)/sqrt(beta) - sqrt(2).
-
-    Tends to 0 as beta grows, quantifying how the critical-regime
-    normalization constants merge into the supercritical ones.
-    """
-    beta = _check_beta(beta)
-    u, _, _ = _solve_excess(beta)
-    return u * math.sqrt(beta) - math.sqrt(2.0)
+    """``solve_alpha(beta).bridging_gap``."""
+    return solve_alpha(beta).bridging_gap

@@ -76,14 +76,13 @@ def _fmt(x: float) -> str:
 
 def cmd_alpha(args) -> dict:
     sol = solve_alpha(args.beta)
-    excess = sol.alpha / sol.beta - 1.0
     return {
         "alpha": sol.alpha,
         "residual": sol.residual,
         "iterations": sol.iterations,
-        "alpha_over_beta_minus_one": excess,
+        "alpha_over_beta_minus_one": sol.alpha / sol.beta - 1.0,
         "sqrt_two_over_beta": math.sqrt(2.0 / sol.beta),
-        "bridging_gap": excess * math.sqrt(sol.beta) - math.sqrt(2.0),
+        "bridging_gap": sol.bridging_gap,
     }
 
 

@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .alpha import solve_alpha
-from .special import check_count, is_positive_real, normal_cdf
+from .special import check_count, normal_cdf
 
 __all__ = [
     "FixedM",
@@ -64,11 +64,10 @@ class Critical:
     beta: float
     alpha: float = field(init=False, compare=False)
 
-    def __post_init__(self):
-        if not is_positive_real(self.beta):
-            raise ValueError(f"Critical needs a positive real beta, got {self.beta!r}")
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "alpha", solve_alpha(self.beta).alpha)
+    def __post_init__(self):  # solve_alpha validates beta
+        solution = solve_alpha(self.beta)
+        object.__setattr__(self, "beta", solution.beta)
+        object.__setattr__(self, "alpha", solution.alpha)
 
 
 @dataclass(frozen=True)

@@ -270,8 +270,9 @@ def mgf_delta(
     above the largest double raise NumericError, at once where z m n passes
     its log, as E[e^{z Delta}] >= e^{z E[D]} >= e^{z m n}.  Past y = 708 -
     ln n the quantile Q saturates, so where the right tail, decaying like
-    e^{-(1 - n z) y}, has not died out by then (from n z = 0.95 at m = 1,
-    earlier for larger m), NumericError is raised.
+    e^{-(1 - n z) y}, has not died out by then, NumericError is raised.
+    Measured on n z in steps of 0.01, that is from n z = 0.95 at m = 1, 0.94
+    at (3, 4) and (2, 8), 0.93 at (5, 3), 0.86 at (40, 3), 0.80 at (100, 3).
     """
     cfg = cfg or QuadratureConfig()
     m, n = ps.m, ps.n

@@ -1,13 +1,15 @@
 """Monte Carlo sampling of the delay and goodness-of-fit statistics.
 
-Replication i always draws from one counter-based Philox stream keyed on
-(seed, i), so a batch is a pure function of its configuration: results are
-bit-identical no matter how replications are chunked across workers.  The
+Replication i always draws from the Philox stream of SeedSequence(seed,
+spawn_key=(i, 0)), so a batch is a pure function of its configuration and
+bit-identical however replications are chunked across workers.  The keys are
+derived in bulk and each worker resets one generator per replication.  The
 env var COUPON_DELAY_THREADS caps the worker count (default 1).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -89,27 +91,76 @@ def _worker_count() -> int:
         raise ValueError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(rep, 0))
-    return np.random.Generator(np.random.Philox(seq))
+# NumPy's frozen SeedSequence hash (O'Neill's seed_seq): the k-th hashmix
+# of the pool uses _HASH_A[k] and _HASH_A[k + 1], output word k _HASH_B[k..k+1].
+_M32 = 0xFFFFFFFF
+_HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32 for k in range(29)]
+_HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 2**32) & _M32 for k in range(5)]
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_KEY_BLOCK = 4096  # temporaries stay below glibc's 128 KiB mmap threshold
 
 
-def _run_reps(worker, reps: int) -> list:
-    """Evaluate worker(rep) for rep = 0..reps-1, gathered in order."""
+def _hashmix(value, consts, k):
+    """SeedSequence's k-th hashmix, on a Python int or a uint32 array."""
+    value = (value ^ consts[k]) * consts[k + 1] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix; Python ints are masked before they meet an array."""
+    value = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return value ^ value >> 16
+
+
+def _stream_keys(seed: int, start: int, count: int) -> np.ndarray:
+    """The (count, 2) uint64 Philox keys of replications start..start+count-1:
+    row i is SeedSequence(entropy=seed, spawn_key=(start + i, 0))
+    .generate_state(2, np.uint64), bit for bit.  The entropy words are the
+    seed's two, two zeros, then the spawn key's: rep's low word, its high
+    word if nonzero, and 0.  Only the spawn key's words are per replication."""
+    words = [int(seed) & _M32, int(seed) >> 32, 0, 0]
+    pool = [_hashmix(word, _HASH_A, k) for k, word in enumerate(words)]
+    for k, (src, dst) in enumerate(itertools.permutations(range(4), 2), start=4):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, k))
+    reps = np.arange(start, start + count, dtype=np.uint64)
+    lo, hi = (reps & _M32).astype(np.uint32), (reps >> 32).astype(np.uint32)
+    for k, word in ((16, lo), (20, hi)):  # below 2**32, hi is the key's 0 itself
+        pool = [_mix(p, _hashmix(word, _HASH_A, k + i)) for i, p in enumerate(pool)]
+    if start + count > 2**32:  # the key's 0 follows a nonzero high word
+        wide = reps >= 2**32
+        pool = [np.where(wide, _mix(p, _hashmix(0, _HASH_A, 24 + i)), p)
+                for i, p in enumerate(pool)]
+    out = [_hashmix(p, _HASH_B, i).astype(np.uint64) for i, p in enumerate(pool)]
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+
+
+def _run_reps(worker, seed: int, reps: int) -> list:
+    """Evaluate worker(rng) for rep = 0..reps-1, gathered in order, with rng
+    reset to the start of replication rep's stream before each call: one
+    Generator per chunk, its Philox given the rep's key, counter 0 and an
+    empty buffer through the public state setter."""
+
+    def chunk(first, last):
+        rng = np.random.Generator(np.random.Philox(0))
+        state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        out = []
+        for a in range(first, last, _KEY_BLOCK):
+            for key in _stream_keys(seed, a, min(_KEY_BLOCK, last - a)).tolist():
+                state["state"]["key"] = key
+                rng.bit_generator.state = state
+                out.append(worker(rng))
+        return out
+
     threads = _worker_count()
     if threads == 1 or reps < 2 * threads:
-        return [worker(rep) for rep in range(reps)]
+        return chunk(0, reps)
     # Imported here: single-threaded runs, the default, never need it.
     from concurrent.futures import ThreadPoolExecutor
 
-    bounds = np.linspace(0, reps, threads + 1, dtype=int)
-    ranges = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-    def chunk(rng_range):
-        return [worker(rep) for rep in rng_range]
-
+    bounds = np.linspace(0, reps, threads + 1, dtype=int).tolist()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(chunk, ranges))
+        parts = list(pool.map(chunk, bounds[:-1], bounds[1:]))
     return [item for part in parts for item in part]
 
 
@@ -129,14 +180,13 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
         raise ValueError(f"sample_{mode} requires mode={mode!r}")
     m, n = config.ps.m, config.ps.n
     if mode == MODE_POISSONIZED:
-        draw = lambda rep: _rep_rng(config.seed, rep).standard_exponential()
-        e = np.array(_run_reps(draw, config.reps))
+        draw = lambda rng: rng.standard_exponential()
+        e = np.array(_run_reps(draw, config.seed, config.reps))
         return SampleBatch(config=config, delta_values=delta_from_exponential(m, n, e))
 
     keep_delta = mode == MODE_COUPLED
 
-    def worker(rep: int) -> tuple[int, float]:
-        rng = _rep_rng(config.seed, rep)
+    def worker(rng: np.random.Generator) -> tuple[int, float]:
         try:
             g = rng.standard_gamma(m, size=n)
         except MemoryError:
@@ -147,7 +197,7 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
         x = g.max()
         return m * n + int(rng.poisson((x - g).sum())), float(n * x)
 
-    d, delta = zip(*_run_reps(worker, config.reps))
+    d, delta = zip(*_run_reps(worker, config.seed, config.reps))
     return SampleBatch(
         config=config,
         d_values=np.array(d, dtype=np.int64),
@@ -168,10 +218,10 @@ def sample_poissonized(config: SimConfig) -> SampleBatch:
     standard exponential E from its stream and returns the Delta with
     F_m(Delta/n)^n = e^-E, exact to the accuracy of ``erlang_log_sf``.  Each
     replication costs O(1) time and memory at every (m, n), n = 1e12
-    included: one stream set-up, one draw, and its share of an element-wise
-    ``erlang_log_sf_inverse`` call on 256 replications at a time.  The
-    values differ from the Delta column of ``sample_coupled`` at the same
-    seed; only the laws agree.
+    included: one generator reset, its share of a bulk key derivation, one
+    draw, and its share of an element-wise ``erlang_log_sf_inverse`` call on
+    256 replications at a time.  The values differ from the Delta column of
+    ``sample_coupled`` at the same seed; only the laws agree.
     """
     return _sample(config, MODE_POISSONIZED)
 

@@ -106,6 +106,11 @@ class TestBridgingGap:
         assert abs(g8) <= 0.1
         assert abs(g8) < abs(g4)
 
+    def test_one_formula(self):
+        # the function reads the solution's property
+        for beta in np.logspace(-6, 6, 25):
+            assert bridging_gap(beta) == solve_alpha(beta).bridging_gap
+
     def test_domain_error(self):
         for bad in (-2.0, True, math.inf):
             with pytest.raises(ValueError):

@@ -58,6 +58,13 @@ class TestAlphaCommand:
         assert out == ""
         assert err.startswith("error:") and "beta" in err
 
+    def test_bridging_gap_is_the_solutions(self, capsys):
+        code, out, _ = run_cli(capsys, "alpha", "--beta", "7.5")
+        assert code == 0
+        assert last_json(out)["results"]["bridging_gap"] == (
+            alpha.solve_alpha(7.5).bridging_gap
+        )
+
     def test_large_beta_reports_expansion(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--beta", "10000")
         assert code == 0
@@ -119,6 +126,19 @@ class TestMomentsCommand:
         assert [row[2] for row in rows] == ["3", "1", "2"]
         values = [float(row[3]) for row in rows]
         assert values[1] < values[2] < values[0]
+
+    @pytest.mark.parametrize("beta", ["0", "1e-310"])
+    def test_bad_beta_is_one_usage_error(self, capsys, beta):
+        # one rule for beta wherever it enters: solve_alpha's
+        code, out, err = run_cli(
+            capsys, "moments", "--m", "2", "--n", "3", "--orders", "1", "--beta", beta
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: beta must be a finite real >= 2.2250738585072014e-308, "
+            f"got {float(beta)!r}\n"
+        )
 
     def test_unreachable_tolerance_is_numeric_failure(self, capsys):
         # below the trapezoid's 1e-14 rounding floor

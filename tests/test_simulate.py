@@ -130,11 +130,58 @@ class TestPoissonizedSampler:
         assert abs(x.mean() - mean_delay(ProblemSize(m, n)).value) <= 5 * se
 
 
+def _stream(seed, rep):
+    """Replication rep's generator, built by NumPy itself: the oracle for the
+    sampler's bulk-keyed streams."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(rep, 0))
+    return np.random.Generator(np.random.Philox(seq))
+
+
 def _stream_exponentials(seed, reps):
     """The standard exponential each replication of a poissonized batch draws."""
-    return np.array(
-        [simulate._rep_rng(seed, rep).standard_exponential() for rep in range(reps)]
+    return np.array([_stream(seed, rep).standard_exponential() for rep in range(reps)])
+
+
+class TestStreams:
+    _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + np.random.default_rng(
+        2024
+    ).integers(0, 2**64, size=20, dtype=np.uint64).tolist()
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_keys_equal_numpy_seed_sequence(self, seed):
+        for rep in [0, 1, 4095, 4096, 4097, 2**32 - 1, 2**32, 2**32 + 5]:
+            want = np.random.SeedSequence(entropy=seed, spawn_key=(rep, 0))
+            got = simulate._stream_keys(seed, rep, 1)
+            assert got.dtype == np.uint64 and got.shape == (1, 2)
+            assert np.array_equal(got[0], want.generate_state(2, np.uint64))
+
+    def test_keys_of_a_range_across_two_to_the_32(self):
+        start, count = 2**32 - 3, 6  # the high word appears mid-range
+        keys = simulate._stream_keys(77, start, count)
+        for i in range(count):
+            want = np.random.SeedSequence(entropy=77, spawn_key=(start + i, 0))
+            assert np.array_equal(keys[i], want.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: rng.standard_exponential(8),
+            lambda rng: rng.standard_gamma(3.5, size=8),
+            lambda rng: rng.poisson(2.5, size=8),
+            lambda rng: rng.integers(0, 2**32, size=8, dtype=np.uint32),
+        ],
     )
+    def test_reset_generator_matches_a_fresh_one(self, monkeypatch, threads, draw):
+        def worker(rng):
+            values = draw(rng)
+            rng.integers(0, 7, dtype=np.uint32)  # leaves half a word buffered
+            return values
+
+        monkeypatch.setenv("COUPON_DELAY_THREADS", threads)
+        got = simulate._run_reps(worker, 2**64 - 1, 5)
+        for rep, values in enumerate(got):
+            assert np.array_equal(values, draw(_stream(2**64 - 1, rep)))
 
 
 class TestDeltaInversion:
@@ -226,13 +273,16 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("mode", [MODE_DISCRETE, MODE_POISSONIZED, MODE_COUPLED])
     def test_thread_count_does_not_change_results(self, monkeypatch, mode):
-        cfg = _config(3, 6, 257, 77, mode)
-        monkeypatch.setenv("COUPON_DELAY_THREADS", "1")
-        a = _SAMPLERS[mode](cfg)
-        monkeypatch.setenv("COUPON_DELAY_THREADS", "6")
-        b = _SAMPLERS[mode](cfg)
-        for x, y in [(a.d_values, b.d_values), (a.delta_values, b.delta_values)]:
-            assert (x is None and y is None) or np.array_equal(x, y)
+        for reps in [257, 4097]:  # 4097 reps take a second block of keys
+            cfg = _config(3, 6, reps, 77, mode)
+            monkeypatch.setenv("COUPON_DELAY_THREADS", "1")
+            a = _SAMPLERS[mode](cfg)
+            for threads in ["2", "3", "6"]:
+                monkeypatch.setenv("COUPON_DELAY_THREADS", threads)
+                b = _SAMPLERS[mode](cfg)
+                pairs = [(a.d_values, b.d_values), (a.delta_values, b.delta_values)]
+                for x, y in pairs:
+                    assert (x is None and y is None) or np.array_equal(x, y)
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("COUPON_DELAY_THREADS", "many")
