@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import is_positive_real, log1p_excess, newton_bracket
+from .special import halley, is_positive_real, log1p_excess
 
 __all__ = ["AlphaSolution", "solve_alpha", "bridging_gap"]
 
-_REL_WIDTH = 1e-15  # relative to u: a few ulps, a quarter of it at least one
+_REL_STEP = 1e-7  # relative to u; the step's own error is cubic in it
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -32,14 +32,15 @@ _TINY = float(np.finfo(np.float64).tiny)
 class AlphaSolution:
     beta: float
     alpha: float
+    u: float  # alpha/beta - 1, the solver's root, with none of alpha's rounding
     residual: float  # alpha - beta ln(alpha) - (beta - beta ln(beta) + 1)
-    iterations: int  # root-search steps after the bracket
+    iterations: int  # evaluations of the root search
 
     @property
     def bridging_gap(self) -> float:
         """(alpha - beta)/sqrt(beta) - sqrt(2): tends to 0 as beta grows, as
         the critical-regime constants merge into the supercritical ones."""
-        return (self.alpha / self.beta - 1.0) * math.sqrt(self.beta) - math.sqrt(2.0)
+        return self.u * math.sqrt(self.beta) - math.sqrt(2.0)
 
 
 def _excess_log_gap(u):
@@ -54,42 +55,39 @@ def _check_beta(beta) -> float:
     return float(beta)
 
 
-def _solve_excess(beta: float) -> tuple[float, float, int]:
-    """Root u of u - log1p(u) = 1/beta; returns (u, residual, steps), the
-    steps counted after the bracket.
+def solve_alpha(beta: float) -> AlphaSolution:
+    """Solve alpha - beta ln(alpha) = beta - beta ln(beta) + 1 on (beta, inf)
+    as u - log1p(u) = 1/beta, u = alpha/beta - 1.
 
     The root lies above u = sqrt(2/beta), where u - log1p(u) <= u^2/2 =
     1/beta, and above u = 1/beta + log1p(1/beta), where u - log1p(u) -
     1/beta = log1p(1/beta) - log1p(u) < 0; and below u = 1/beta +
-    sqrt(1/beta) sqrt(1/beta + 2), where u - log1p(u) >= u^2/(2 (1 + u))."""
-    inv_b = 1.0 / beta
-    steps = 0
-
-    def slope(u: float, _) -> float:  # called once per step after the bracket
-        nonlocal steps
-        steps += 1
-        return u / (1.0 + u)
-
-    below, above = newton_bracket(
-        lambda u: _excess_log_gap(u) - inv_b, slope, 0.0,
-        max(inv_b + math.log1p(inv_b), math.sqrt(2.0 * inv_b)),
-        inv_b + math.sqrt(inv_b) * math.sqrt(inv_b + 2.0),
-        f"failed to bracket the root for beta={beta}", _REL_WIDTH,
-    )
-    u = float(0.5 * (below + above))
-    return u, float(beta * (_excess_log_gap(u) - inv_b)), steps
-
-
-def solve_alpha(beta: float) -> AlphaSolution:
-    """Solve alpha - beta ln(alpha) = beta - beta ln(beta) + 1 on (beta, inf).
-
-    Deterministic, |residual| <= 1e-12 throughout beta in [1e-6, 1e6]
-    (and in practice far beyond).
+    sqrt(1/beta) sqrt(1/beta + 2), where u - log1p(u) >= u^2/(2 (1 + u)).
+    Halley steps start at the larger lower bound, with u/(1 + u) and
+    1/(1 + u)^2 as the first two derivatives.  Deterministic,
+    |residual| <= 1e-12 throughout beta in [1e-6, 1e6] (and in practice far
+    beyond).
     """
     beta = _check_beta(beta)
-    u, residual, iterations = _solve_excess(beta)
+    inv_b = 1.0 / beta
+    evaluations = 0
+
+    def excess(u, level):
+        nonlocal evaluations
+        evaluations += 1
+        w = 1.0 / (1.0 + u)
+        return _excess_log_gap(u) - level, u * w, w * w
+
+    lo = max(inv_b + math.log1p(inv_b), math.sqrt(2.0 * inv_b))
+    u, step = halley(
+        excess, inv_b, lo, inv_b + math.sqrt(inv_b) * math.sqrt(inv_b + 2.0),
+        _REL_STEP * lo, f"failed to find the root for beta={beta}",
+    )
+    u = float(u + step)
+    residual = float(beta * (_excess_log_gap(u) - inv_b))
     return AlphaSolution(
-        beta=beta, alpha=beta * (1.0 + u), residual=residual, iterations=iterations
+        beta=beta, alpha=beta * (1.0 + u), u=u, residual=residual,
+        iterations=evaluations,
     )
 
 

@@ -80,7 +80,7 @@ def cmd_alpha(args) -> dict:
         "alpha": sol.alpha,
         "residual": sol.residual,
         "iterations": sol.iterations,
-        "alpha_over_beta_minus_one": sol.alpha / sol.beta - 1.0,
+        "alpha_over_beta_minus_one": sol.u,
         "sqrt_two_over_beta": math.sqrt(2.0 / sol.beta),
         "bridging_gap": sol.bridging_gap,
     }

@@ -219,8 +219,8 @@ def sample_poissonized(config: SimConfig) -> SampleBatch:
     F_m(Delta/n)^n = e^-E, exact to the accuracy of ``erlang_log_sf``.  Each
     replication costs O(1) time and memory at every (m, n), n = 1e12
     included: one generator reset, its share of a bulk key derivation, one
-    draw, and its share of an element-wise ``erlang_log_sf_inverse`` call on
-    256 replications at a time.  The values differ from the Delta column of
+    draw, and its share of an ``erlang_log_sf_inverse`` call, 2 to 5 kernel
+    calls on 256 replications.  The values differ from the Delta column of
     ``sample_coupled`` at the same seed; only the laws agree.
     """
     return _sample(config, MODE_POISSONIZED)

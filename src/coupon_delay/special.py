@@ -7,7 +7,10 @@ exponential sum S_m(x) e^{-x} under- or overflows, and at large shapes
 even m ln x - x - lgamma(m) loses nine digits to cancellation.
 ``erlang_log_sf`` takes a whole array of abscissas per call (its inverse
 solves a block of 256 levels at once) and is accurate to a relative 1e-12
-against mpmath at every shape; see its docstring.
+against mpmath at every shape; see its docstring.  The inverse takes Halley
+steps on the log of the cumulative hazard from a closed-form lower bound,
+2 to 5 kernel calls per block, through ``halley``, the package's one
+root-finder, which also solves for the critical-regime alpha.
 """
 
 from __future__ import annotations
@@ -52,74 +55,61 @@ def check_count(value, name: str) -> int:
     return int(value)
 
 
-_MAX_NEWTON_ROUNDS = 200  # bisection alone narrows any bracket in 60
+_MAX_HALLEY_ROUNDS = 100  # bisections alone would narrow any bracket 2^100 times
 
 
-def newton_bracket(g, slope, level, left, right, failure, rel_width=1e-9):
-    """Narrow the caller's bracket left < right of the point where the
-    increasing g crosses ``level`` to one with g(left) <= level < g(right)
-    and right - left <= rel_width right, rel_width >= 2^-52.
+def halley(g, level, lo, hi, tol, failure):
+    """Solve g(u, level) = 0 for u between lo < hi, g increasing in u, by
+    Halley steps from lo with the bracket as their safeguard.
 
-    g is evaluated at both ends in one call; NumericError(failure) is raised
-    if they do not straddle the level, unless the bracket is already that
-    narrow (rounding may collapse it), which is returned as given.  Then
-    Newton steps with the derivative ``slope(x, g(x))``, from the end nearer
-    ``level`` and then from the last point, each aimed a quarter width past
-    the root to close the bracket from both sides, or a bisection if the
-    step would leave the bracket; NumericError(failure) again if 200 steps
-    leave it wide, as where g is flat to its last digit over the bracket.
+    ``g(u, level)`` gives the residual and its first two derivatives in u at
+    the points of a 1-d array, element by element; given the level, it can
+    form the residual without cancellation.  The first evaluation is at
+    lo, where the residual must be negative: NumericError(failure) where it
+    is positive and the step from it is wider than tol (rounding may put a
+    closed-form lower bound within tol past the root).  hi is not
+    evaluated.  Each evaluation moves the bracket end on its side of the
+    root, and a step that would leave the bracket, as one from a zero or
+    wrong-signed slope does, bisects it instead.  An element is done once
+    its Halley step is at most ``tol``; NumericError(failure) again if one
+    is not after 100 evaluations, as where the root lies past hi or the
+    residual is flat to its last digit.
 
-    ``level``, left and right are floats or arrays of one shape, and the
-    ends come back as arrays of that shape.  Every element steps until
-    its own bracket is narrow, and is not evaluated again once it is done.
-    Each round calls g once, on a 1-d array of the points still searching;
-    g and slope must act element by element, so an element's bracket does
-    not depend on the others.
-
-    The width must stay above the resolution of the crossing in x, x's own
-    rounding plus the x-error that g's error implies, or Newton keeps
-    landing on one side and each step only bisects.  A relative error e in
-    ln sf moves its crossing by at most e relative, e |level| / (x hazard),
-    because the Erlang hazard increases.  A 2000-level
-    ``erlang_log_sf_inverse`` at (3, 4) takes 9 kernel calls at widths from
-    1e-12 to 1e-14, 10 at 2e-15 and 61 at 4e-16, two ulps; it uses 1e-12,
-    above ``erlang_log_sf``'s stated accuracy, and one more Newton step.
+    ``level``, lo, hi and tol are floats or arrays that broadcast to lo's
+    shape.  Returns (u, step), arrays of that shape: the last point
+    evaluated and the Halley step from it, whose error is cubic in the
+    step, for the caller to apply in the form that keeps the most digits.
+    An element is evaluated until it is done and not after, so its result
+    does not depend on the others in the array.
     """
-    shape = np.shape(left)
-    level, left, right = (
-        np.array(a, dtype=np.float64).reshape(-1) for a in (level, left, right)
+    shape = np.shape(lo)
+    level, lo, hi, tol = (
+        np.array(np.broadcast_to(a, shape), dtype=np.float64).reshape(-1)
+        for a in (level, lo, hi, tol)
     )
-    g_left, g_right = g(np.concatenate([left, right])).reshape(2, -1)
-    straddles = (g_left <= level) & (level < g_right)
-    if not (straddles | (right - left <= rel_width * right)).all():
-        raise NumericError(failure)
-    back = np.abs(g_left - level) < np.abs(g_right - level)
-    x, gx = np.where(back, left, right), np.where(back, g_left, g_right)
-    # Newton steps on the elements whose brackets are still wide; each
-    # finished element's bracket is written out and dropped.
-    out_left, out_right = left.copy(), right.copy()
-    index = np.arange(x.size)
-    nudge = 0.25 * rel_width
-    for _ in range(_MAX_NEWTON_ROUNDS):
-        wide = right - left > rel_width * right
-        if not wide.all():
-            out_left[index], out_right[index] = left, right
-            if not wide.any():
-                break
-            index, x, gx, level, left, right = (
-                a[wide] for a in (index, x, gx, level, left, right)
+    u = lo.copy()
+    out_u, out_step = np.empty_like(u), np.empty_like(u)
+    index = np.arange(u.size)
+    for k in range(_MAX_HALLEY_ROUNDS):
+        f, slope, curve = g(u, level)
+        lo, hi = np.where(f < 0.0, u, lo), np.where(f > 0.0, u, hi)
+        with np.errstate(all="ignore"):  # NaN where the slope is 0
+            newton = f / slope
+            step = -newton / (1.0 - 0.5 * newton * curve / slope)
+        done = np.abs(step) <= tol
+        if k == 0 and (~done & (f > 0.0)).any():
+            raise NumericError(failure)
+        if done.any():
+            out_u[index[done]], out_step[index[done]] = u[done], step[done]
+            if done.all():
+                return out_u.reshape(shape), out_step.reshape(shape)
+            wide = ~done
+            index, u, step, level, lo, hi, tol = (
+                a[wide] for a in (index, u, step, level, lo, hi, tol)
             )
-        d = slope(x, gx)
-        half = 0.5 * left + 0.5 * right  # left + right may overflow
-        with np.errstate(all="ignore"):
-            t = x - (gx - level) / d + np.copysign(nudge * x, half - x)
-        x = np.where((left < t) & (t < right), t, half)
-        gx = g(x)
-        on_left = gx <= level
-        left, right = np.where(on_left, x, left), np.where(on_left, right, x)
-    else:  # a g too flat to resolve its crossing: the steps only creep
-        raise NumericError(failure)
-    return out_left.reshape(shape), out_right.reshape(shape)
+        t = u + step
+        u = np.where((lo < t) & (t < hi), t, 0.5 * lo + 0.5 * hi)
+    raise NumericError(failure)
 
 
 # Shapes up to _FINITE_SUM_MAX_SHAPE split at x = m: below it the ascending
@@ -254,11 +244,11 @@ def _ascending_sum(m: int, x):
     return 1.0 + np.add.reduce(terms, axis=-1)
 
 
-def _finite_sum(m: int, x):
-    """sum_{j<m} prod_{i<=j} (m-i)/x = S_m(x) (m-1)! / x^(m-1), over
+def _finite_tail(m: int, x):
+    """sum_{1<=j<m} prod_{i<=j} (m-i)/x = S_m(x) (m-1)! / x^(m-1) - 1, over
     _SERIES_TERMS terms; the terms from j = m on are exactly 0."""
     terms = np.multiply.accumulate((m - _K) / x[..., None], axis=-1)
-    return 1.0 + np.add.reduce(terms, axis=-1)
+    return np.add.reduce(terms, axis=-1)
 
 
 def erlang_log_pdf(m: int, x):
@@ -291,7 +281,7 @@ def _below(m: int, x):
 
 def _above(m: int, x):
     """ln(S_m(x) e^-x) from the finite sum."""
-    return erlang_log_pdf(m, x) + np.log(_finite_sum(m, x))
+    return erlang_log_pdf(m, x) + np.log(1.0 + _finite_tail(m, x))
 
 
 def _temme(m: int, x):
@@ -407,10 +397,31 @@ def above_crossing(m: int, level):
     return c + np.minimum(excess, _MAX - c)
 
 
-# Relative bracket width of erlang_log_sf_inverse: above the kernel's stated
-# accuracy, 1e-12, so that Newton closes it from both sides (see
-# newton_bracket); the Newton step that follows makes up the accuracy.
-_INVERSE_REL_WIDTH = 1e-12
+# ln pdf - ln sf, the log hazard, cancels far above the mode to an absolute
+# error near x eps, 1e-9 at x = 2^22; past that and 2 m the hazard is read
+# from the finite sum instead, 1 / S_m(x) (m-1)! x^(1-m), where nothing
+# cancels and, at x > 2 m, _SERIES_TERMS terms reach 2^-63.
+_FAR_HAZARD = 2.0**22
+_INVERSE_STEP = 1e-7  # in ln x; the step's own error is cubic in it
+
+
+def _log_cumulative_hazard(m: int, u, level):
+    """(G - ln(-level), G', G'') at u for G(u) = ln(-ln sf(e^u)), with
+    r = G' = x h / H for the hazard h and H = -ln sf, and
+    G'' = r (m + x (h - 1) - r).  The residual is the log of a ratio: a
+    difference of two logs near 690 would lose 1e-13."""
+    x = np.exp(u)
+    log_sf = erlang_log_sf(m, x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f = np.log(log_sf / level)  # -inf where sf is 1, inf where it is 0
+        log_h = np.minimum(erlang_log_pdf(m, x) - log_sf, 0.0)
+        excess = x * np.expm1(log_h)  # x (h - 1)
+        far = x > max(2.0 * m, _FAR_HAZARD)
+        if far.any():
+            t = _finite_tail(m, x[far])
+            log_h[far], excess[far] = -np.log1p(t), -x[far] * t / (1.0 + t)
+        r = x * np.exp(log_h) / -log_sf
+        return f, r, r * (m + excess - r)
 
 
 def erlang_log_sf_inverse(m: int, level):
@@ -418,18 +429,20 @@ def erlang_log_sf_inverse(m: int, level):
     an array of the input's shape, each element solved on its own.  0 at
     level 0 and inf at level -inf; NaN or a positive level raises ValueError.
     A subnormal level, above -2.2e-308, is solved as -2.2e-308: ln sf near
-    it has too few digits to resolve the crossing.  Levels within about
-    1e-13 of minus the largest double may raise NumericError.
+    it has too few digits to resolve the crossing.
 
-    The search runs on ln(-ln sf), the log of the cumulative hazard, which
-    rises like m ln x far below the mode and like ln x far above it, so
-    Newton converges fast at every level; on ln sf itself each step far
-    below the mode gains only about one e-fold of F_m.  A ``newton_bracket``
-    of relative width 1e-12 between ``below_crossing`` and ``above_crossing``
-    is followed by one Newton step from its midpoint, kept inside it, whose
-    error is quadratic in the midpoint's: x is as accurate as the kernel and
-    its rounding allow.  That matters where x hazard(x) is large: at
-    m = 1e6 it is 800 at the mode, so 1e-15 of x moves ln sf by 8e-13.
+    The search runs in u = ln x on G(u) = ln(-ln sf), the log of the
+    cumulative hazard, which rises like m u far below the mode and like u
+    far above it: ``halley`` steps from ``below_crossing``, with
+    ``above_crossing`` as the bracket's other end, in 2 to 5 kernel calls
+    per array at levels from the log of the smallest normal double to 0,
+    and in 2 at levels past -1e15.  The last step, at most 1e-7, is applied
+    as x + x expm1(step), not as e^(u + step): at m = 1e6 one ulp of u is
+    1.8e-15 of x, and x hazard(x) is 800 at the mode, so it would move
+    ln sf by 1.4e-12.  Against 40-digit mpmath, x is within 4e-15 relative
+    at levels from -1e-20 to -700 and 2e-16 past -1e15; nearer 0 the
+    kernel's error sets it, 3e-14 at m = 2.  An x that rounds past the
+    largest double is capped there.
     """
     m = check_count(m, "Erlang shape")
     level = np.array(level, dtype=np.float64)
@@ -440,26 +453,14 @@ def erlang_log_sf_inverse(m: int, level):
     inner = (flat < 0.0) & (flat > -math.inf)
     if inner.any():
         target = np.minimum(flat[inner], -_TINY)
-
-        def log_hazard_sum(x):  # ln(-ln sf): -inf where sf is 1, inf where 0
-            with np.errstate(divide="ignore", over="ignore"):
-                return np.log(-erlang_log_sf(m, x))
-
-        def slope(x, g):  # hazard / cumulative hazard, with -ln sf = e^g
-            # ln hazard <= 0; far above the mode it cancels to no digit
-            return np.exp(np.minimum(erlang_log_pdf(m, x) + np.exp(g), 0.0) - g)
-
-        log_target = np.log(-target)
-        left, right = newton_bracket(
-            log_hazard_sum, slope, log_target,
-            below_crossing(m, target), above_crossing(m, target),
-            "Erlang survival inverse failed to bracket its level", _INVERSE_REL_WIDTH,
+        u, step = halley(
+            lambda u, level: _log_cumulative_hazard(m, u, level), target,
+            np.log(below_crossing(m, target)), np.log(above_crossing(m, target)),
+            _INVERSE_STEP, "Erlang survival inverse failed to solve its level",
         )
-        mid = 0.5 * left + 0.5 * right
-        g = log_hazard_sum(mid)
-        with np.errstate(all="ignore"):
-            x = mid + (log_target - g) / slope(mid, g)  # the slope may be 0
-        out[inner] = np.clip(np.where(np.isnan(x), mid, x), left, right)
+        x = np.exp(u)
+        with np.errstate(over="ignore"):
+            out[inner] = np.minimum(x + x * np.expm1(step), _MAX)
     return float(out[0]) if level.ndim == 0 else out.reshape(level.shape)
 
 

@@ -58,7 +58,7 @@ class TestSolveAlpha:
 
     def test_whole_normal_range(self):
         # From about beta = 1e29 on both ends of the bracket round to
-        # sqrt(2/beta), already narrower than the search's width
+        # sqrt(2/beta), and the search starts within its step of the root
         for beta in np.logspace(-307, 308, 124):
             sol = solve_alpha(float(beta))
             assert math.isfinite(sol.alpha) and sol.alpha >= beta
@@ -105,6 +105,27 @@ class TestBridgingGap:
         assert abs(g4) <= 10.0 * (1e4) ** -0.25
         assert abs(g8) <= 0.1
         assert abs(g8) < abs(g4)
+
+    def test_against_mpmath(self):
+        # u = alpha/beta - 1 from the solver itself, not re-formed from the
+        # rounded alpha, which cancels as u falls: near beta = 1e6 that
+        # form put the bridging gap about 1e-10 off, relative
+        mp = pytest.importorskip("mpmath")
+        worst_gap, roots = 0.0, []
+        for beta in np.logspace(-6, 6, 61).tolist():
+            with mp.workdps(40):
+                b = mp.mpf(beta)
+                u = mp.findroot(
+                    lambda u: u - mp.log1p(u) - 1 / b, math.sqrt(2.0 / beta) + 1 / beta
+                )
+                gap = u * mp.sqrt(b) - mp.sqrt(2)
+            sol = solve_alpha(beta)
+            worst_gap = max(worst_gap, float(abs(sol.bridging_gap - gap) / abs(gap)))
+            roots.append((sol, u))
+        # the last subtraction of sqrt(2) alone may cost 4e-13 of the gap
+        assert worst_gap <= 2e-12, worst_gap
+        for sol, u in roots:
+            assert abs(sol.u - u) <= 1e-15 * u
 
     def test_one_formula(self):
         # the function reads the solution's property

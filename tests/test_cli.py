@@ -61,9 +61,10 @@ class TestAlphaCommand:
     def test_bridging_gap_is_the_solutions(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--beta", "7.5")
         assert code == 0
-        assert last_json(out)["results"]["bridging_gap"] == (
-            alpha.solve_alpha(7.5).bridging_gap
-        )
+        results = last_json(out)["results"]
+        solution = alpha.solve_alpha(7.5)
+        assert results["bridging_gap"] == solution.bridging_gap
+        assert results["alpha_over_beta_minus_one"] == solution.u
 
     def test_large_beta_reports_expansion(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--beta", "10000")

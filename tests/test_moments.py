@@ -22,7 +22,7 @@ from coupon_delay.moments import (
     rising_moments,
     variance_delay,
 )
-from coupon_delay.special import delta_from_exponential, newton_bracket
+from coupon_delay.special import delta_from_exponential, halley
 
 
 def harmonic_mean_delay(n):
@@ -247,87 +247,116 @@ class TestRisingMoments:
         assert rising_moments(ps, []) == []
 
 
+def _square(x, level):
+    """x^2 - level with its first two derivatives, for ``halley``."""
+    return x * x - level, 2.0 * x, np.full_like(x, 2.0)
+
+
 class TestCrossing:
     def test_brackets_the_crossing(self):
         evaluations = []
 
-        def g(x):
+        def g(x, level):
             evaluations.append(x)
-            return x * x
+            return _square(x, level)
 
-        lo, hi = newton_bracket(g, lambda x, _: 2.0 * x, 10.0, 1.0, 4.0, "unused")
-        assert lo * lo <= 10.0 < hi * hi
-        assert 0.0 < hi - lo <= 1e-9 * hi
-        # both ends in one call, then one evaluation per Newton step
-        assert list(evaluations[0]) == [1.0, 4.0]
-        assert len(evaluations) <= 1 + 8
+        u, step = halley(g, 10.0, 1.0, 4.0, 1e-7, "unused")
+        assert u + step == pytest.approx(math.sqrt(10.0), rel=1e-15)
+        assert abs(step) <= 1e-7
+        # the first evaluation is at the lower end alone; the upper end is
+        # never evaluated
+        assert list(evaluations[0]) == [1.0]
+        assert all(4.0 not in x for x in evaluations)
+        assert len(evaluations) <= 6
 
     def test_brackets_an_increasing_g(self):
-        lo, hi = newton_bracket(
-            lambda x: x**3, lambda x, _: 3.0 * x * x, 10.0, 0.5, 4.0, "unused"
-        )
-        assert lo**3 <= 10.0 < hi**3
-        assert 0.0 < hi - lo <= 1e-9 * hi
+        cube = lambda x, level: (x**3 - level, 3.0 * x * x, 6.0 * x)
+        u, step = halley(cube, 10.0, 0.5, 4.0, 1e-7, "unused")
+        assert u + step == pytest.approx(10.0 ** (1.0 / 3.0), rel=1e-15)
 
     @pytest.mark.parametrize(
-        "slope", [lambda x, _: 0.0, lambda x, _: -2.0 * x], ids=["zero", "wrong-sign"]
+        "slope", [lambda x: 0.0 * x, lambda x: -2.0 * x], ids=["zero", "wrong-sign"]
     )
     def test_bisects_where_newton_cannot_step(self, slope):
-        # A zero slope, or one of the wrong sign, whose steps leave the bracket
-        lo, hi = newton_bracket(lambda x: x * x, slope, 10.0, 1.0, 4.0, "unused")
-        assert lo * lo <= 10.0 < hi * hi
-        assert hi - lo <= 1e-9 * hi
+        # A zero slope gives no step and a wrong-signed one a step out of the
+        # bracket: each evaluation after the first bisects it instead.  The
+        # wrong-signed step falls within tol next to the root, and the
+        # search ends there; a zero slope never ends it
+        evaluations = []
+
+        def g(x, level):
+            evaluations.append(x[0])
+            return x * x - level, slope(x), np.full_like(x, 2.0)
+
+        if slope(1.0) == 0.0:
+            with pytest.raises(NumericError, match="no step"):
+                halley(g, 10.0, 1.0, 4.0, 1e-7, "no step")
+            assert len(evaluations) == 100
+        else:
+            u, step = halley(g, 10.0, 1.0, 4.0, 1e-7, "no step")
+            assert u + step == pytest.approx(math.sqrt(10.0), abs=1e-6)
+        lo, hi = 1.0, 4.0
+        for x in evaluations[1:]:
+            assert x == 0.5 * lo + 0.5 * hi
+            lo, hi = (x, hi) if x * x < 10.0 else (lo, x)
+        assert hi - lo <= 1e-6
 
     def test_gives_up_when_the_steps_only_creep(self):
-        # g rises to 5 at x = 5 and stays there, one ulp above the level, and
-        # the slope claims it keeps rising: each Newton step from the right
-        # end moves by the quarter-width nudge alone, so after 200 steps the
-        # search stops with an error instead of creeping across the bracket
+        # g rises to 5 at x = 5 and stays there, below the level 6, while
+        # the slope claims it keeps rising: the root lies past hi = 8, the
+        # steps keep leaving the bracket and their bisections creep up to
+        # it, so after 100 evaluations the search stops with an error
         calls = 0
 
-        def g(x):
+        def g(x, level):
             nonlocal calls
             calls += 1
-            return np.minimum(x, 5.0)
+            return np.minimum(x, 5.0) - level, np.ones_like(x), np.zeros_like(x)
 
         with pytest.raises(NumericError, match="flat"):
-            newton_bracket(g, lambda x, _: 1.0, np.nextafter(5.0, 0.0), 1.0, 8.0, "flat")
-        assert calls == 1 + 200  # both ends at once, every Newton step
+            halley(g, 6.0, 1.0, 8.0, 1e-7, "flat")
+        assert calls == 100
 
-    def test_array_elements_search_on_their_own(self):
-        # Each element's bracket equals its scalar search, whatever the
-        # batch: brackets from 2 to 2e12 wide and different step counts
-        levels = np.geomspace(0.5, 1e24, 9)
-        lefts = np.linspace(0.5, 2.0, 9)
-        rights = np.sqrt(levels) * np.linspace(1.5, 2.0, 9)
-        g = lambda x: x * x
-        slope = lambda x, _: 2.0 * x
-        lo, hi = newton_bracket(g, slope, levels, lefts, rights, "unused")
-        for i in range(len(levels)):
-            assert (lo[i], hi[i]) == newton_bracket(
-                g, slope, levels[i], lefts[i], rights[i], "unused"
-            )
-        flipped = (levels[::-1], lefts[::-1], rights[::-1])
-        lo2, hi2 = newton_bracket(g, slope, *flipped, "unused")
-        assert np.array_equal(lo2, lo[::-1]) and np.array_equal(hi2, hi[::-1])
-        square = (a.reshape(3, 3) for a in (levels, lefts, rights))
-        lo3, hi3 = newton_bracket(g, slope, *square, "unused")
-        assert np.array_equal(lo3, lo.reshape(3, 3))
-        assert np.array_equal(hi3, hi.reshape(3, 3))
+    def test_a_start_above_its_level_raises(self):
+        evaluations = []
 
-    def test_ends_that_do_not_straddle_raise(self):
-        g = lambda x: x * x
-        slope = lambda x, _: 2.0 * x
-        # both ends above, both below, and g(right) on the level itself
-        for level, left, right in [(10.0, 4.0, 5.0), (10.0, 1.0, 2.0), (9.0, 1.0, 3.0)]:
-            with pytest.raises(NumericError, match="no crossing"):
-                newton_bracket(g, slope, level, left, right, "no crossing")
+        def g(x, level):
+            evaluations.append(x)
+            return _square(x, level)
+
+        # at once, on the first evaluation
+        with pytest.raises(NumericError, match="no crossing"):
+            halley(g, 10.0, 4.0, 5.0, 1e-7, "no crossing")
+        assert len(evaluations) == 1
         levels, lefts = np.array([10.0, 10.0]), np.array([1.0, 4.0])
         with pytest.raises(NumericError, match="no crossing"):
-            newton_bracket(g, slope, levels, lefts, lefts + 1.0, "no crossing")
-        # a bracket already narrower than rel_width is returned as given,
-        # straddling or not: rounding may have collapsed its ends
-        assert newton_bracket(g, slope, 10.0, 4.0, 4.0, "unused") == (4.0, 4.0)
+            halley(_square, levels, lefts, lefts + 1.0, 1e-7, "no crossing")
+        # a start within tol past the root, where rounding may put a
+        # closed-form bound, is the root
+        root = np.nextafter(math.sqrt(10.0), 5.0)
+        u, step = halley(_square, 10.0, root, 5.0, 1e-7, "unused")
+        assert u == root and abs(step) <= 1e-15
+
+    def test_array_elements_search_on_their_own(self):
+        # Each element's result equals its scalar search, whatever the
+        # batch: brackets from 2 to 2e12 wide and different step counts
+        levels = np.geomspace(0.5, 1e24, 9)
+        lefts = np.linspace(0.5, 2.0, 9) * np.sqrt(levels) / 4.0
+        rights = np.sqrt(levels) * np.linspace(1.5, 2.0, 9)
+        tol = 1e-7 * lefts
+        u, step = halley(_square, levels, lefts, rights, tol, "unused")
+        np.testing.assert_allclose(u + step, np.sqrt(levels), rtol=1e-15)
+        for i in range(len(levels)):
+            assert (u[i], step[i]) == halley(
+                _square, levels[i], lefts[i], rights[i], tol[i], "unused"
+            )
+        flipped = (levels[::-1], lefts[::-1], rights[::-1], tol[::-1])
+        u2, step2 = halley(_square, *flipped, "unused")
+        assert np.array_equal(u2, u[::-1]) and np.array_equal(step2, step[::-1])
+        square = (a.reshape(3, 3) for a in (levels, lefts, rights, tol))
+        u3, step3 = halley(_square, *square, "unused")
+        assert np.array_equal(u3, u.reshape(3, 3))
+        assert np.array_equal(step3, step.reshape(3, 3))
 
 
 class TestTailWindow:

@@ -190,7 +190,8 @@ class TestErlangLogSfInverse:
         level = -np.geomspace(1e-20, 700.0, 60)
         x = erlang_log_sf_inverse(m, level)
         assert (np.diff(x) > 0).all()
-        # ln sf(x) = level within the bracket's 1e-14 of x, times the hazard
+        # ln sf(x) = level within 1e-14 of x, times the hazard: x's own
+        # rounding and the error of the last Halley step
         hazard = np.exp(special.erlang_log_pdf(m, x) - level)
         slack = 1e-14 * x * hazard + 1e-12 * np.abs(level)
         assert (np.abs(erlang_log_sf(m, x) - level) <= slack).all()
@@ -217,19 +218,36 @@ class TestErlangLogSfInverse:
             assert erlang_log_sf_inverse(m, level[i]) == batch[i]
             assert erlang_log_sf_inverse(m, level[i : i + 1])[0] == batch[i]
 
-    def test_kernel_calls(self, monkeypatch):
-        calls = 0
+    @staticmethod
+    def _count_kernel_calls(monkeypatch):
+        calls = []
         kernel = special.erlang_log_sf
 
         def counted(m, x):
-            nonlocal calls
-            calls += 1
+            calls.append(np.size(x))
             return kernel(m, x)
 
         monkeypatch.setattr(special, "erlang_log_sf", counted)
+        return calls
+
+    def test_kernel_calls(self, monkeypatch):
+        calls = self._count_kernel_calls(monkeypatch)
         level = log1mexp(np.random.default_rng(4).standard_exponential(2000) / 4.0)
         erlang_log_sf_inverse(3, level)
-        assert calls <= 10  # 9 at width 1e-12; a width of 4e-16 took 61
+        assert len(calls) <= 3
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 40, 41, 1000, 10**6])
+    def test_kernel_calls_over_every_level(self, monkeypatch, m):
+        # Deterministic counts, so a slower search fails here: 2 to 5 from
+        # the log of the smallest normal double, subnormal levels included,
+        # up to 0, and 2 far past it
+        calls = self._count_kernel_calls(monkeypatch)
+        normal = -np.geomspace(special._TINY, -math.log(special._TINY), 400)
+        erlang_log_sf_inverse(m, np.concatenate([[-5e-324, -1e-310], normal]))
+        assert len(calls) <= 5
+        calls.clear()
+        erlang_log_sf_inverse(m, -np.geomspace(1e15, 1.797e308, 40))
+        assert len(calls) <= 3
 
     def test_log1mexp(self):
         a = np.array([0.0, 1e-300, 1e-10, math.log(2.0), 1.0, 40.0, 800.0])
@@ -257,6 +275,8 @@ class TestErlangLogSfInverse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             x = erlang_log_sf_inverse(m, level)
+            # the last step may round past the largest double: capped there
+            assert erlang_log_sf_inverse(m, -special._MAX) <= special._MAX
         np.testing.assert_allclose(erlang_log_sf(m, x), level, rtol=1e-12)
 
 
@@ -401,6 +421,30 @@ class TestErlangLogSfAccuracy:
                     continue
                 worst = max(worst, float(abs((value - want) / want)))
         assert worst <= 1e-12, worst
+
+
+class TestErlangLogSfInverseAccuracy:
+    @pytest.mark.parametrize("m", [1, 3, 40, 41, 1000, 10**6])
+    @pytest.mark.parametrize(
+        "low, high, bound",
+        [(1e-300, 1e-20, 1e-13), (1e-20, 700.0, 1e-14), (1e15, 1e300, 1e-15)],
+        ids=["near-zero", "bulk", "far"],
+    )
+    def test_relative_error_against_mpmath(self, mp, m, low, high, bound):
+        # The residual of ln sf at the returned x, at 40 digits, over the
+        # hazard there is x's own error.  Near level 0 it is set by the
+        # kernel's error, as ln sf ~ -x^m / m! there: 2e-14 at m = 3; in the
+        # bulk and far past it by x's last steps.
+        level = -np.geomspace(low, high, 30)
+        xs = erlang_log_sf_inverse(m, level)
+        worst = 0.0
+        with mp.workdps(40):
+            for x, want in zip(xs.tolist(), level.tolist()):
+                log_sf = _reference_log_sf(mp, m, x)
+                log_pdf = (m - 1) * mp.log(x) - x - mp.loggamma(m)
+                hazard = mp.exp(log_pdf - log_sf)
+                worst = max(worst, float(abs(log_sf - want) / (hazard * x)))
+        assert worst <= bound, worst
 
 
 def _temme_coefficients(mp, rows, cols):
