@@ -373,21 +373,38 @@ class TestTailWindow:
             integrand = q**r * np.exp(-ends - np.exp(-ends))
             assert (integrand <= 1e-16 * rising_moment(ps, r).value).all()
 
-    def test_kernel_calls(self, monkeypatch):
-        calls = 0
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The list of kernel calls made from here on, one item per call."""
+        calls = []
         kernel = special.erlang_log_sf
 
         def counted(m, x):
-            nonlocal calls
-            calls += 1
+            calls.append(np.size(x))
             return kernel(m, x)
 
         monkeypatch.setattr(special, "erlang_log_sf", counted)
+        return calls
+
+    def test_kernel_calls(self, kernel_calls):
         mean_delay(ProblemSize(5, 1000))
-        assert calls <= 20  # one Newton search over all 189 nodes
-        calls = 0
+        assert len(kernel_calls) <= 20  # one Newton search over all 189 nodes
+        kernel_calls.clear()
         mean_delay(ProblemSize(10**6, 10))
-        assert calls <= 8  # both ends, 6 Newton steps and the final one
+        assert len(kernel_calls) <= 8  # both ends, 6 Newton steps and the final one
+
+    # Kernel calls per moment grid, which a slower start or search raises:
+    # 3 at m > 40, where the density bound starts the search, and at m <= 40
+    # what the closed-form bounds alone take
+    @pytest.mark.parametrize(
+        "m, most",
+        [(1, 2), (2, 3), (3, 3), (10, 4), (40, 4),
+         (41, 3), (100, 3), (1000, 3), (30000, 3), (10**6, 3)],
+    )
+    @pytest.mark.parametrize("n", [10, 1000, 10**6])
+    def test_moment_grid_kernel_calls(self, kernel_calls, m, most, n):
+        rising_moments(ProblemSize(m, n), [1, 2, 3])
+        assert len(kernel_calls) <= most
 
     def test_fixed_step_meets_any_tolerance(self):
         # The step is never refined: the sum at step 1/4 and its every-other-

@@ -257,10 +257,21 @@ class TestErlangLogSfInverse:
         assert got[0] == -math.inf
         np.testing.assert_allclose(got[1:], want[1:], rtol=1e-15)
 
-    @pytest.mark.parametrize("m", [1, 2, 41, 10**6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 40, 41, 100, 1000, 30000, 10**6])
     def test_start_is_below_the_crossing(self, m):
-        level = -np.geomspace(1e-300, 700.0, 200)
-        assert (erlang_log_sf(m, below_crossing(m, level)) > level).all()
+        # Both sides of m = 40, where the density bound begins, and a dense
+        # bulk, where it meets the closed forms near the median; subnormal
+        # and far levels too
+        level = np.concatenate([
+            [-5e-324, -1e-310],
+            -np.geomspace(1e-300, 700.0, 200),
+            -np.geomspace(1e-3, 700.0, 400),
+            -np.geomspace(1e15, 1.797e308, 40),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = below_crossing(m, level)
+        assert (erlang_log_sf(m, x) > level).all()
 
     @pytest.mark.parametrize("m", [1, 2, 40, 41, 1000, 10**6])
     def test_end_is_above_the_crossing(self, m):
@@ -424,7 +435,7 @@ class TestErlangLogSfAccuracy:
 
 
 class TestErlangLogSfInverseAccuracy:
-    @pytest.mark.parametrize("m", [1, 3, 40, 41, 1000, 10**6])
+    @pytest.mark.parametrize("m", [1, 3, 40, 41, 100, 1000, 30000, 10**6])
     @pytest.mark.parametrize(
         "low, high, bound",
         [(1e-300, 1e-20, 1e-13), (1e-20, 700.0, 1e-14), (1e15, 1e300, 1e-15)],
