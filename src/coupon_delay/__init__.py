@@ -8,7 +8,7 @@ fixed-m, critical, supercritical and fixed-n regimes, and validates them
 by reproducible Monte Carlo.
 """
 
-from .alpha import AlphaSolution, bridging_gap, solve_alpha
+from .alpha import AlphaSolution, solve_alpha
 from .errors import NumericError
 from .limit_laws import (
     Critical,
@@ -30,18 +30,19 @@ from .moments import (
     MomentResult,
     ProblemSize,
     QuadratureConfig,
-    asymptotic_mean_fixed_m,
     asymptotic_moment,
     delta_power_moment,
     exact_dist_small,
     exact_mean_small,
     mean_delay,
     mgf_delta,
-    rising_moment,
     rising_moments,
     variance_delay,
 )
 from .simulate import (
+    MODE_COUPLED,
+    MODE_DISCRETE,
+    MODE_POISSONIZED,
     KSReport,
     SampleBatch,
     SimConfig,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .special import halley, is_positive_real, log1p_excess
 
-__all__ = ["AlphaSolution", "solve_alpha", "bridging_gap"]
+__all__ = ["AlphaSolution", "solve_alpha"]
 
 _REL_STEP = 1e-7  # relative to u; the step's own error is cubic in it
 _TINY = float(np.finfo(np.float64).tiny)
@@ -90,7 +90,3 @@ def solve_alpha(beta: float) -> AlphaSolution:
         iterations=evaluations,
     )
 
-
-def bridging_gap(beta: float) -> float:
-    """``solve_alpha(beta).bridging_gap``."""
-    return solve_alpha(beta).bridging_gap

@@ -13,7 +13,7 @@ the parsed flags, and ``wall_time_ms``, the time of the command call, is
 the one field that varies run to run.  Every randomized command requires
 an explicit --seed, and given identical flags (and any
 COUPON_DELAY_THREADS value) produces identical scientific output.
-Exit codes: 0 success, 2 usage or domain error, 3 numeric failure.
+Exit codes: 0 success, 2 usage, domain or --out file error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument(
         "--mode",
-        choices=[MODE_DISCRETE, MODE_POISSONIZED, MODE_COUPLED],
+        choices=list(_SAMPLERS),
         required=True,
     )
     p_sim.add_argument("--out", type=str, default=None, help="CSV sample file")
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         results = args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

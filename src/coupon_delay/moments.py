@@ -44,7 +44,6 @@ __all__ = [
     "MomentResult",
     "ExactDistribution",
     "delta_power_moment",
-    "rising_moment",
     "rising_moments",
     "mean_delay",
     "variance_delay",
@@ -52,7 +51,6 @@ __all__ = [
     "exact_mean_small",
     "exact_dist_small",
     "asymptotic_moment",
-    "asymptotic_mean_fixed_m",
 ]
 
 METHOD_QUADRATURE = "quadrature"
@@ -65,7 +63,7 @@ _STEP = 0.25
 _ROUNDING = 1e-14  # relative rounding floor of a trapezoid sum
 _MGF_TAIL = 40.0  # the MGF grid ends where its integrand is e^-40 of its peak
 _MGF_UNDERFLOW = -700.0  # a peak below e^-700 integrates to under 1e-300
-_MGF_OVERFLOW = math.log(np.finfo(np.float64).max)  # exp overflows above it
+_LOG_MAX = math.log(np.finfo(np.float64).max)  # exp overflows above it
 _SCAN_POINTS = 33
 _MAX_SCANS = 60
 _TINY = float(np.finfo(np.float64).tiny)
@@ -155,12 +153,17 @@ def delta_power_moment(
     step 1/4 is near e^(-pi^2 / (1/4)) = 7e-18.  ``nodes``, a one-item list
     shared by calls on the same ps, lets several exponents share their
     quantiles (see ``rising_moments``); without it the call computes its
-    own.
+    own.  An order whose moment must overflow raises NumericError at once.
     """
     if not is_positive_real(s):
         raise ValueError(f"moment exponent must be a positive real, got {s!r}")
     cfg = cfg or QuadratureConfig()
     s = float(s)
+    # Delta >= n Gamma(m, 1) >= Exp(1) stochastically, so E[Delta^s] >=
+    # Gamma(s + 1); for s >= 1 Jensen adds E[Delta^s] >= E[D]^s >= (m n)^s
+    jensen = s * math.log(ps.m * ps.n) if s >= 1.0 else 0.0
+    if max(math.lgamma(s + 1.0), jensen) > _LOG_MAX:
+        raise NumericError(f"moment of order {s} exceeds the largest double")
     y = _Y_LO + _STEP * np.arange(int((40.0 + 3.0 * s - _Y_LO) / _STEP) + 1)
     q = _quantiles(ps, y, [np.empty(0)] if nodes is None else nodes)
     # Q^s times the Gumbel weight exp(-y - e^-y)
@@ -177,7 +180,7 @@ def rising_moments(
     Every order integrates against the same quantiles Q(y), on a prefix of
     the grid of the largest order, so the orders are computed from the
     largest down and each later one reuses the nodes already found.  Results
-    equal those of separate ``rising_moment`` calls exactly.
+    equal those of separate ``delta_power_moment`` calls exactly.
     """
     orders = [check_count(r, "rising-moment order") for r in orders]
     cfg = cfg or QuadratureConfig()
@@ -187,13 +190,6 @@ def rising_moments(
         for r in sorted(set(orders), reverse=True)
     }
     return [results[r] for r in orders]
-
-
-def rising_moment(
-    ps: ProblemSize, r: int, cfg: Optional[QuadratureConfig] = None
-) -> MomentResult:
-    """E[D (D+1) ... (D+r-1)], equal to E[Delta^r]."""
-    return rising_moments(ps, [r], cfg)[0]
 
 
 def mean_delay(ps: ProblemSize, cfg: Optional[QuadratureConfig] = None) -> MomentResult:
@@ -220,23 +216,18 @@ def variance_delay(
     return MomentResult(value=value, abs_err=abs_err, method=METHOD_QUADRATURE)
 
 
-def _mgf_peak(ps: ProblemSize, z: float):
+def _mgf_peak(ps: ProblemSize, z: float, lo: float):
     """(Q, y, g) at the peak of the MGF's log integrand
     g(y) = z Q(y) - y - e^-y, and the width in y of the points where g is
     within 1 of it.
 
     Along x = Q/n the Gumbel point is explicit, e^-y = E = -n ln F_m(x), so
-    each scan of ln x costs one erlang_log_sf call.  The first spans
-    E = 700, where the integrand is below e^-693, to the ``above_crossing``
-    past which Q saturates; each next one spans the two intervals around
-    the highest point of the last, until five points lie within 1 of it.
+    each scan of ln x costs one erlang_log_sf call.  The first spans lo, at
+    E >= 700, to the ``above_crossing`` past which Q saturates; each next one
+    spans the two intervals around the highest point of the last, until five
+    points lie within 1 of it.
     """
     m, n = ps.m, ps.n
-    if z * m * n > _MGF_OVERFLOW:  # the mgf is at least e^{z m n}, see mgf_delta
-        return 0.0, 0.0, math.inf, 0.0
-    lo = max(float(below_crossing(m, log1mexp(700.0 / n))), _TINY)
-    if z * n * lo < _MGF_UNDERFLOW:  # g <= z n x - 1 for x >= lo, and < -693 below
-        return 0.0, 0.0, -math.inf, 0.0
     u_lo, u_hi = math.log(lo), math.log(above_crossing(m, math.log(_TINY)))
     for _ in range(_MAX_SCANS):
         x = np.exp(np.linspace(u_lo, u_hi, _SCAN_POINTS))
@@ -281,10 +272,15 @@ def mgf_delta(
             f"mgf argument must be finite and below 1/n = {1.0 / n}, got {z}"
         )
     z = float(z)
-    q_peak, y_peak, top, width = _mgf_peak(ps, z)
+    if z * m * n > _LOG_MAX:  # the mgf is at least e^{z m n}, see above
+        raise NumericError(f"mgf at z={z} exceeds the largest double")
+    lo = max(float(below_crossing(m, log1mexp(700.0 / n))), _TINY)
+    if z * n * lo < _MGF_UNDERFLOW:  # g <= z n x - 1 for x >= lo, and < -693 below
+        return 0.0
+    q_peak, y_peak, top, width = _mgf_peak(ps, z, lo)
     if top < _MGF_UNDERFLOW:
         return 0.0
-    if top > _MGF_OVERFLOW:  # the grid has a node at the peak, whose exp overflows
+    if top > _LOG_MAX:  # the grid has a node at the peak, whose exp overflows
         raise NumericError(f"mgf at z={z} exceeds the largest double")
     # Q(y) is singular at distance pi/2 from the real axis, which bounds the
     # step as much as the peak's width does (see delta_power_moment).
@@ -445,17 +441,6 @@ def asymptotic_moment(ps: ProblemSize, regime: Regime, r: int) -> float:
         return (ratio * ps.n * ps.m) ** r
     if isinstance(regime, FixedM):
         raise ValueError(
-            "fixed-m growth is n ln n, not (nm)^r; use asymptotic_mean_fixed_m"
+            "fixed-m growth is n ln n, not (nm)^r; use normalization(FixedM(m), m, n)"
         )
     raise TypeError(f"unknown regime {regime!r}")
-
-
-def asymptotic_mean_fixed_m(m: int, n: int) -> float:
-    """n ln n + (m-1) n ln ln n + n (gamma - ln((m-1)!)), fixed-m mean growth."""
-    check_count(m, "m")
-    if n <= math.e:
-        raise ValueError("fixed-m expansion needs n > e so ln(ln(n)) is defined")
-    log_n = math.log(n)
-    return n * (log_n + (m - 1) * math.log(log_n)) + n * (
-        float(np.euler_gamma) - math.lgamma(m)
-    )

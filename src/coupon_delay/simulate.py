@@ -4,7 +4,7 @@ Replication i always draws from the Philox stream of SeedSequence(seed,
 spawn_key=(i, 0)), so a batch is a pure function of its configuration and
 bit-identical however replications are chunked across workers.  The keys are
 derived in bulk and each worker resets one generator per replication.  The
-env var COUPON_DELAY_THREADS caps the worker count (default 1).
+env var COUPON_DELAY_THREADS sets the worker count (default 1, at most 64).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ MODE_COUPLED = "coupled"
 _MODES = (MODE_DISCRETE, MODE_POISSONIZED, MODE_COUPLED)
 
 _THREADS_ENV = "COUPON_DELAY_THREADS"
+_MAX_THREADS = 64  # one OS thread per worker: a huge setting must not start that many
 
 
 @dataclass(frozen=True)
@@ -68,25 +69,18 @@ class SampleBatch:
     d_values: Optional[np.ndarray] = None
     delta_values: Optional[np.ndarray] = None
 
-    def primary_values(self) -> np.ndarray:
-        values = self.d_values if self.d_values is not None else self.delta_values
-        if values is None or len(values) == 0:
-            raise ValueError("batch holds no samples")
-        return values
-
 
 @dataclass(frozen=True)
 class KSReport:
     statistic: float
     reps: int
-    regime: Regime
     normalization: Normalization
 
 
 def _worker_count() -> int:
     raw = os.environ.get(_THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        return min(max(1, int(raw)), _MAX_THREADS)
     except ValueError:
         raise ValueError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
 
@@ -253,13 +247,15 @@ def ks_distance(batch: SampleBatch, regime: Regime) -> KSReport:
     Coupled batches are judged on their D values (the law being validated
     transfers from Delta to D); purely Poissonized batches on Delta.
     """
-    values = batch.primary_values()
+    values = batch.d_values if batch.d_values is not None else batch.delta_values
+    if values is None or len(values) == 0:
+        raise ValueError("batch holds no samples")
     ps = batch.config.ps
     norm = normalization(regime, ps.m, ps.n)
     y = np.sort(norm.apply(values))
     model = np.asarray(target_cdf(norm.target, y), dtype=np.float64)
     return KSReport(
-        statistic=ks_statistic(y, model), reps=len(y), regime=regime, normalization=norm
+        statistic=ks_statistic(y, model), reps=len(y), normalization=norm
     )
 
 

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from coupon_delay.alpha import bridging_gap, solve_alpha
+from coupon_delay.alpha import solve_alpha
 from coupon_delay.cli import main
 from coupon_delay.limit_laws import (
     Critical,
@@ -241,7 +241,7 @@ def test_criterion_10_tricomi_expansion():
 
 def test_criterion_11_bridging():
     t0 = time.perf_counter()
-    gaps = [bridging_gap(b) for b in (1e2, 1e4, 1e6)]
+    gaps = [solve_alpha(b).bridging_gap for b in (1e2, 1e4, 1e6)]
     bounds = [10.0 * b**-0.25 for b in (1e2, 1e4, 1e6)]
     sol = solve_alpha(1e6)
     const_gap = abs(critical_constant(sol.alpha, 1e6) - math.log(2 * math.sqrt(math.pi)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupon_delay.alpha import bridging_gap, solve_alpha
+from coupon_delay.alpha import solve_alpha
 
 
 def _bisect_oracle(beta, lo=None, hi=None, iters=200):
@@ -69,8 +69,6 @@ class TestSolveAlpha:
         for beta in (1e-310, 5e-324):
             with pytest.raises(ValueError, match="beta"):
                 solve_alpha(beta)
-            with pytest.raises(ValueError, match="beta"):
-                bridging_gap(beta)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -96,12 +94,12 @@ class TestBridgingGap:
     def test_unit_beta_value(self):
         sol = solve_alpha(1.0)
         expected = (sol.alpha - 1.0) - math.sqrt(2.0)
-        assert bridging_gap(1.0) == pytest.approx(expected, abs=1e-12)
-        assert bridging_gap(1.0) == pytest.approx(0.732, abs=1e-3)
+        assert sol.bridging_gap == pytest.approx(expected, abs=1e-12)
+        assert sol.bridging_gap == pytest.approx(0.732, abs=1e-3)
 
     def test_decay(self):
-        g4 = bridging_gap(1e4)
-        g8 = bridging_gap(1e8)
+        g4 = solve_alpha(1e4).bridging_gap
+        g8 = solve_alpha(1e8).bridging_gap
         assert abs(g4) <= 10.0 * (1e4) ** -0.25
         assert abs(g8) <= 0.1
         assert abs(g8) < abs(g4)
@@ -127,13 +125,8 @@ class TestBridgingGap:
         for sol, u in roots:
             assert abs(sol.u - u) <= 1e-15 * u
 
-    def test_one_formula(self):
-        # the function reads the solution's property
-        for beta in np.logspace(-6, 6, 25):
-            assert bridging_gap(beta) == solve_alpha(beta).bridging_gap
-
     def test_domain_error(self):
         for bad in (-2.0, True, math.inf):
             with pytest.raises(ValueError):
-                bridging_gap(bad)
-        assert bridging_gap(np.int64(4)) == bridging_gap(4.0)
+                solve_alpha(bad).bridging_gap
+        assert solve_alpha(np.int64(4)).bridging_gap == solve_alpha(4.0).bridging_gap

@@ -151,9 +151,22 @@ class TestMomentsCommand:
         assert err.startswith("numeric failure:")
 
     def test_bad_orders(self, capsys):
-        code, _, err = run_cli(capsys, "moments", "--m", "1", "--n", "2", "--orders", "x")
-        assert code == 2
-        assert "orders" in err
+        for orders in ("x", ","):
+            code, _, err = run_cli(
+                capsys, "moments", "--m", "1", "--n", "2", "--orders", orders
+            )
+            assert code == 2
+            assert "orders" in err
+
+    def test_overflowing_order_fails_at_once(self, capsys):
+        # E[Delta^s] >= Gamma(s + 1) > the largest double: no grid is built
+        code, out, err = run_cli(
+            capsys, "moments", "--m", "1", "--n", "1", "--orders", "200000"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure:") and "largest double" in err
+        assert "Warning" not in err
 
 
 class TestSimulateCommand:
@@ -182,6 +195,18 @@ class TestSimulateCommand:
         r1, r2 = last_json(out1), last_json(out2)
         r1.pop("wall_time_ms"), r2.pop("wall_time_ms")
         assert r1 == r2
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "samples.csv"
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--m", "1", "--n", "1", "--reps", "3",
+            "--seed", "1", "--mode", "poissonized", "--out", str(out_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(out_file) in err
+        assert not out_file.parent.exists()
 
     def test_coupled_summary_mean(self, capsys):
         code, out, _ = run_cli(

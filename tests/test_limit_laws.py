@@ -9,6 +9,7 @@ from coupon_delay.limit_laws import (
     FixedM,
     FixedN,
     MaxOfNormals,
+    Normalization,
     StandardGumbel,
     Supercritical,
     critical_constant,
@@ -16,7 +17,6 @@ from coupon_delay.limit_laws import (
     normalization,
     target_cdf,
 )
-from coupon_delay.moments import asymptotic_mean_fixed_m
 from coupon_delay.special import normal_cdf
 
 LOG_2SQRTPI = math.log(2.0 * math.sqrt(math.pi))
@@ -54,6 +54,13 @@ class TestNormalization:
         with pytest.raises(ValueError):
             normalization(FixedM(2), 2, 2)
         normalization(FixedN(2), 5, 2)  # fixed-n path has no such restriction
+
+    def test_unknown_regime_and_bad_scale(self):
+        with pytest.raises(TypeError):
+            normalization("fixed-m", 2, 100)
+        for scale in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                Normalization(center=0.0, scale=scale, target=StandardGumbel())
 
     def test_regime_and_shape_validation(self):
         bad_regimes = [
@@ -104,7 +111,8 @@ class TestNormalization:
         for m, n in [(1, 10**4), (2, 10**4), (4, 500)]:
             norm = normalization(FixedM(m), m, n)
             lhs = norm.center / n + (norm.scale / n) * float(np.euler_gamma)
-            rhs = asymptotic_mean_fixed_m(m, n) / n
+            log_n = math.log(n)
+            rhs = log_n + (m - 1) * math.log(log_n) + np.euler_gamma - math.lgamma(m)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -222,6 +230,10 @@ class TestDeriveB:
         n = math.exp(10.0)
         assert derive_b(20, int(round(n)), 2.0) == pytest.approx(0.0, abs=1e-4)
 
+    def test_needs_two_users(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            derive_b(5, 1, 1.0)
+
 
 class TestTargetCdf:
     def test_standard_gumbel_vector(self):
@@ -231,6 +243,10 @@ class TestTargetCdf:
 
     def test_max_of_normals(self):
         assert target_cdf(MaxOfNormals(3), 0.0) == pytest.approx(0.125, rel=1e-12)
+
+    def test_unknown_target(self):
+        with pytest.raises(TypeError):
+            target_cdf(Supercritical(), 0.0)
 
     @pytest.mark.parametrize("n", [1, 5, 30])
     def test_max_of_normals_equals_the_scalar_loop(self, n):

@@ -7,18 +7,22 @@ import pytest
 
 from coupon_delay import moments, special
 from coupon_delay.errors import NumericError
-from coupon_delay.limit_laws import Critical, FixedM, FixedN, Supercritical
+from coupon_delay.limit_laws import (
+    Critical,
+    FixedM,
+    FixedN,
+    Supercritical,
+    normalization,
+)
 from coupon_delay.moments import (
     ProblemSize,
     QuadratureConfig,
-    asymptotic_mean_fixed_m,
     asymptotic_moment,
     delta_power_moment,
     exact_dist_small,
     exact_mean_small,
     mean_delay,
     mgf_delta,
-    rising_moment,
     rising_moments,
     variance_delay,
 )
@@ -126,19 +130,22 @@ class TestDeltaPowerMoment:
 class TestRisingMoment:
     def test_degenerate_instance(self):
         # D(1,1) = 1 surely, so D(D+1) = 2
-        assert rising_moment(ProblemSize(1, 1), 2).value == pytest.approx(2.0, rel=1e-9)
+        got = rising_moments(ProblemSize(1, 1), [2])[0]
+        assert got.value == pytest.approx(2.0, rel=1e-9)
 
     def test_two_coupons(self):
-        assert rising_moment(ProblemSize(1, 2), 1).value == pytest.approx(3.0, rel=1e-9)
+        got = rising_moments(ProblemSize(1, 2), [1])[0]
+        assert got.value == pytest.approx(3.0, rel=1e-9)
 
     def test_single_user(self):
-        assert rising_moment(ProblemSize(3, 1), 1).value == pytest.approx(3.0, rel=1e-9)
+        got = rising_moments(ProblemSize(3, 1), [1])[0]
+        assert got.value == pytest.approx(3.0, rel=1e-9)
 
     def test_identity_with_exact_distribution(self):
         for m, n in [(2, 2), (2, 3), (1, 4)]:
             dist = exact_dist_small(ProblemSize(m, n))
             expect = dist.moment(2) + dist.mean()
-            got = rising_moment(ProblemSize(m, n), 2).value
+            got = rising_moments(ProblemSize(m, n), [2])[0].value
             assert got == pytest.approx(expect, rel=1e-8)
 
     def test_exact_distribution_rising_moment(self):
@@ -148,18 +155,18 @@ class TestRisingMoment:
             dist = exact_dist_small(ProblemSize(m, n))
             assert dist.rising_moment(1) == dist.mean()
             for r in (1, 2, 3):
-                got = rising_moment(ProblemSize(m, n), r).value
+                got = rising_moments(ProblemSize(m, n), [r])[0].value
                 assert dist.rising_moment(r) == pytest.approx(got, rel=1e-9)
 
     def test_lower_bound(self):
         for m, n, r in [(2, 3, 1), (3, 2, 2), (4, 4, 3)]:
-            value = rising_moment(ProblemSize(m, n), r).value
+            value = rising_moments(ProblemSize(m, n), [r])[0].value
             assert value >= (m * n) ** r * (1.0 - 1e-12)
 
     def test_rejects_fractional_order(self):
         for r in (1.5, True):
             with pytest.raises(ValueError):
-                rising_moment(ProblemSize(1, 2), r)
+                rising_moments(ProblemSize(1, 2), [r])
 
 
 class TestRisingMoments:
@@ -175,7 +182,7 @@ class TestRisingMoments:
     def test_equals_separate_orders_exactly(self, m, n, orders):
         ps = ProblemSize(m, n)
         shared = rising_moments(ps, orders)
-        separate = [rising_moment(ps, r) for r in orders]
+        separate = [rising_moments(ps, [r])[0] for r in orders]
         assert [(x.value, x.abs_err) for x in shared] == [
             (x.value, x.abs_err) for x in separate
         ]
@@ -192,7 +199,7 @@ class TestRisingMoments:
 
         monkeypatch.setattr(moments, "delta_from_exponential", counted)
         ps = ProblemSize(5, 1000)
-        rising_moment(ps, 3)
+        rising_moments(ps, [3])
         alone, nodes = nodes, 0
         rising_moments(ps, [1, 2, 3])
         assert 0 < nodes <= alone
@@ -226,7 +233,7 @@ class TestRisingMoments:
     def test_high_orders_against_mpmath(self, m, n, r):
         # r n^r Int_0^inf (1 - F_m(t)^n) t^(r-1) dt at 40 digits
         mp = pytest.importorskip("mpmath")
-        got = rising_moment(ProblemSize(m, n), r)
+        got = rising_moments(ProblemSize(m, n), [r])[0]
         with mp.workdps(40):
             above = lambda t: -mp.expm1(
                 n * mp.log1p(-mp.gammainc(m, t, mp.inf, regularized=True))
@@ -243,8 +250,18 @@ class TestRisingMoments:
         for orders in ([1, 0], [1, 1.5], [True], [2, np.int64(-1)]):
             with pytest.raises(ValueError):
                 rising_moments(ps, orders)
-        assert rising_moments(ps, [np.int64(1)]) == [rising_moment(ps, 1)]
+        assert rising_moments(ps, [np.int64(1)]) == rising_moments(ps, [1])
         assert rising_moments(ps, []) == []
+
+    @pytest.mark.parametrize("m, n, r", [(1, 1, 171), (1000, 1000, 60)])
+    def test_overflowing_order_computes_no_quantile(self, monkeypatch, m, n, r):
+        # E[Delta^r] >= Gamma(r + 1) (at (1, 1)) and >= (m n)^r (at (1e3, 1e3))
+        # pass the largest double here, so the order fails before its grid
+        calls = []
+        monkeypatch.setattr(moments, "delta_from_exponential", lambda *a: calls.append(a))
+        with pytest.raises(NumericError, match="exceeds the largest double"):
+            rising_moments(ProblemSize(m, n), [r])
+        assert calls == []
 
 
 def _square(x, level):
@@ -371,7 +388,7 @@ class TestTailWindow:
             ends = np.array([-4.0, 40.0 + 3.0 * r])
             q = delta_from_exponential(m, n, np.exp(-ends))
             integrand = q**r * np.exp(-ends - np.exp(-ends))
-            assert (integrand <= 1e-16 * rising_moment(ps, r).value).all()
+            assert (integrand <= 1e-16 * rising_moments(ps, [r])[0].value).all()
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -613,22 +630,31 @@ class TestAsymptotics:
         with pytest.raises(ValueError):
             asymptotic_moment(ProblemSize(2, 100), FixedM(2), 1)
 
+    def test_unknown_regime_is_rejected(self):
+        with pytest.raises(TypeError):
+            asymptotic_moment(ProblemSize(2, 100), "super", 1)
+
     def test_fixed_m_mean_examples(self):
+        # the fixed-m mean expansion is the limit law's center + gamma scale
+        def mean(m, n):
+            norm = normalization(FixedM(m), m, n)
+            return norm.center + float(np.euler_gamma) * norm.scale
+
         n = 10**4
-        base = asymptotic_mean_fixed_m(1, n)
+        base = mean(1, n)
         assert base == pytest.approx(n * (math.log(n) + np.euler_gamma), rel=1e-12)
-        two = asymptotic_mean_fixed_m(2, n)
+        two = mean(2, n)
         assert two - base == pytest.approx(n * math.log(math.log(n)), rel=1e-12)
-        three = asymptotic_mean_fixed_m(3, n)
+        three = mean(3, n)
         assert three - two == pytest.approx(
             n * (math.log(math.log(n)) - math.log(2.0)), rel=1e-10
         )
 
     def test_fixed_m_domain(self):
         with pytest.raises(ValueError):
-            asymptotic_mean_fixed_m(2, 2)  # n <= e
+            normalization(FixedM(2), 2, 2)  # n <= e
         with pytest.raises(ValueError):
-            asymptotic_mean_fixed_m(True, 100)
+            normalization(FixedM(2), True, 100)
 
     def test_order_validation(self):
         for r in (0, 1.5, True):

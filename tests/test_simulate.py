@@ -289,8 +289,39 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             sample_discrete(_config(1, 2, 4, 0, MODE_DISCRETE))
 
+    def test_worker_count_is_capped(self, monkeypatch):
+        # a stand-in pool records its size and maps serially: no thread starts
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setenv("COUPON_DELAY_THREADS", "100000")
+        draw = lambda rng: rng.standard_exponential()
+        got = simulate._run_reps(draw, 5, 200)
+        assert sizes == [64]
+        monkeypatch.setenv("COUPON_DELAY_THREADS", "1")
+        assert got == simulate._run_reps(draw, 5, 200)
+
 
 class TestKS:
+    def test_empty_sample(self):
+        with pytest.raises(ValueError, match="empty"):
+            ks_statistic(np.array([]), np.array([]))
+
     def test_degenerate_batch(self):
         cfg = _config(2, 4, 3, 0, MODE_DISCRETE)
         batch = SampleBatch(config=cfg, d_values=np.array([40, 40, 40]))
@@ -356,16 +387,22 @@ class TestEmpiricalMoments:
     def test_constant_batch(self):
         cfg = _config(1, 5, 3, 0, MODE_DISCRETE)
         batch = SampleBatch(config=cfg, d_values=np.array([5, 5, 5]))
-        est, se = empirical_moments(batch.primary_values(), 1)
+        est, se = empirical_moments(batch.d_values, 1)
         assert est == 5.0
         assert se == 0.0
         with pytest.raises(ValueError):
             empirical_moments(np.array([]))
 
+    def test_single_value_and_order_validation(self):
+        assert empirical_moments([3.0], 2) == (9.0, 0.0)
+        for r in (0, -1):
+            with pytest.raises(ValueError, match="order"):
+                empirical_moments([3.0, 4.0], r)
+
     def test_second_moment(self):
         cfg = _config(1, 5, 2, 0, MODE_DISCRETE)
         batch = SampleBatch(config=cfg, d_values=np.array([2, 4]))
-        est, se = empirical_moments(batch.primary_values(), 2)
+        est, se = empirical_moments(batch.d_values, 2)
         assert est == 10.0
         assert se == pytest.approx(6.0, rel=1e-12)
 
@@ -383,6 +420,12 @@ class TestCsvExport:
         d, delta = lines[1].split(",")
         assert int(d) >= 2
         float(delta)
+
+    def test_empty_batch_writes_no_file(self, tmp_path):
+        path = tmp_path / "none.csv"
+        with pytest.raises(ValueError, match="no samples"):
+            write_samples_csv(SampleBatch(config=_config(1, 2, 1, 0, MODE_DISCRETE)), path)
+        assert not path.exists()
 
     def test_single_column(self, tmp_path):
         batch = sample_discrete(_config(1, 2, 3, 31, MODE_DISCRETE))
