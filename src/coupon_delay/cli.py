@@ -135,6 +135,8 @@ def cmd_simulate(args) -> dict:
         seed=args.seed,
         mode=args.mode,
     )
+    if args.out:  # an unwritable path fails before any replication is drawn
+        open(args.out, "w").close()
     batch = _SAMPLERS[args.mode](config)
     if args.out:
         write_samples_csv(batch, args.out)

@@ -8,10 +8,11 @@ even m ln x - x - lgamma(m) loses nine digits to cancellation.
 ``erlang_log_sf`` takes a whole array of abscissas per call (its inverse
 solves a block of 256 levels at once) and is accurate to a relative 1e-12
 against mpmath at every shape; see its docstring.  The inverse takes Halley
-steps on the log of the cumulative hazard from a proved lower bound, 2 to 4
-kernel calls per block (3 at every m > 40), through ``halley``, the
-package's one root-finder, which also solves for the critical-regime
-alpha.
+steps on the log of the cumulative hazard from Temme's asymptotic inversion,
+with proved closed-form bounds as the bracket: 1 to 3 kernel calls per block
+(2 at every m >= 5, 1 on the moment grids at m >= 1000), through
+``halley``, the package's one root-finder, which also solves for the
+critical-regime alpha.
 """
 
 from __future__ import annotations
@@ -59,36 +60,38 @@ def check_count(value, name: str) -> int:
 _MAX_HALLEY_ROUNDS = 100  # bisections alone would narrow any bracket 2^100 times
 
 
-def halley(g, level, lo, hi, tol, failure):
+def halley(g, level, lo, hi, tol, failure, start=None):
     """Solve g(u, level) = 0 for u between lo < hi, g increasing in u, by
-    Halley steps from lo with the bracket as their safeguard.
+    Halley steps from ``start`` with the bracket as their safeguard.
 
     ``g(u, level)`` gives the residual and its first two derivatives in u at
     the points of a 1-d array, element by element; given the level, it can
-    form the residual without cancellation.  The first evaluation is at
-    lo, where the residual must be negative: NumericError(failure) where it
-    is positive and the step from it is wider than tol (rounding may put a
-    closed-form lower bound within tol past the root).  hi is not
-    evaluated.  Each evaluation moves the bracket end on its side of the
-    root, and a step that would leave the bracket, as one from a zero or
-    wrong-signed slope does, bisects it instead.  An element is done once
-    its Halley step is at most ``tol``; NumericError(failure) again if one
-    is not after 100 evaluations, as where the root lies past hi or the
-    residual is flat to its last digit.
+    form the residual without cancellation.  ``start`` may lie on either
+    side of the root; where it is None, not finite or not inside (lo, hi),
+    the search starts at lo, a proved lower end whose residual must be
+    negative: NumericError(failure) where it is positive and the step from
+    it is wider than tol (rounding may put a closed-form lower bound within
+    tol past the root).  hi is not evaluated.  Each evaluation moves the
+    bracket end on its side of the root, and a step that would leave the
+    bracket, as one from a zero or wrong-signed slope does, bisects it
+    instead.  An element is done once its Halley step is at most ``tol``;
+    NumericError(failure) again if one is not after 100 evaluations, as
+    where the root lies outside (lo, hi) or the residual is flat to its
+    last digit.
 
-    ``level``, lo, hi and tol are floats or arrays that broadcast to lo's
-    shape.  Returns (u, step), arrays of that shape: the last point
+    ``level``, lo, hi, tol and start are floats or arrays that broadcast to
+    lo's shape.  Returns (u, step), arrays of that shape: the last point
     evaluated and the Halley step from it, whose error is cubic in the
     step, for the caller to apply in the form that keeps the most digits.
     An element is evaluated until it is done and not after, so its result
     does not depend on the others in the array.
     """
     shape = np.shape(lo)
-    level, lo, hi, tol = (
-        np.array(np.broadcast_to(a, shape), dtype=np.float64).reshape(-1)
-        for a in (level, lo, hi, tol)
-    )
-    u = lo.copy()
+    given = (level, lo, hi, tol, lo if start is None else start)
+    level, lo, hi, tol, start = (a.reshape(-1) for a in np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.float64) for a in given)))
+    inside = (lo < start) & (start < hi)
+    u = np.where(inside, start, lo)
     out_u, out_step = np.empty_like(u), np.empty_like(u)
     index = np.arange(u.size)
     for k in range(_MAX_HALLEY_ROUNDS):
@@ -98,7 +101,7 @@ def halley(g, level, lo, hi, tol, failure):
             newton = f / slope
             step = -newton / (1.0 - 0.5 * newton * curve / slope)
         done = np.abs(step) <= tol
-        if k == 0 and (~done & (f > 0.0)).any():
+        if k == 0 and (~done & (f > 0.0) & ~inside).any():
             raise NumericError(failure)
         if done.any():
             out_u[index[done]], out_step[index[done]] = u[done], step[done]
@@ -388,60 +391,89 @@ def below_crossing(m: int, level):
     largest of three lower bounds on the crossing, ln sf(m, x) >= -x (exact
     at m = 1), the Chernoff bound P{Erlang(m) <= x} <= exp(-(m - x)^2 / (2 m))
     for x < m and P{Erlang(m) <= x} < x^m / m!, the first and last taken a
-    relative 1e-6 low so that rounding cannot put them past the crossing;
-    for m > 40 also ``_density_bound``'s, where its check holds.  0 at a
-    subnormal level, above -2.2e-308, where a relative 1e-6 may not move x
-    past a rounding of ln sf."""
+    relative 1e-6 low so that rounding cannot put them past the crossing.
+    0 at a subnormal level, above -2.2e-308, where a relative 1e-6 may not
+    move x past a rounding of ln sf."""
     level = np.asarray(level, dtype=np.float64)
     log_cdf = log1mexp(-level)
     chernoff = m - np.sqrt(-2.0 * m * log_cdf)
     power = np.exp((log_cdf + math.lgamma(m + 1.0)) / m) * (1.0 - 1e-6)
     start = np.maximum(np.maximum(-(1.0 - 1e-6) * level, chernoff), power)
-    if m > _FINITE_SUM_MAX_SHAPE:
-        start = np.maximum(start, _density_bound(m, level, log_cdf))
     return np.where(level <= -_TINY, start, 0.0)
 
 
-def _density_bound(m: int, level, log_cdf):
-    """A lower bound on the crossing of ln sf(m, x) = level for m > 40,
-    element-wise, or 0 where it is not proved; log_cdf = ln(1 - e^level).
+# Acklam's normal quantile at p <= 1/2, relative error below 1.15e-9 (P. J.
+# Acklam, 2003): numerator and denominator in q = sqrt(-2 ln p) below
+# p = 0.02425, and in r = (p - 1/2)^2, times p - 1/2, above it.  Ascending
+# coefficients, a column per polynomial, so one Horner pass does all four.
+_ACKLAM_SPLIT = math.log(0.02425)
+_ACKLAM = np.transpose([[
+    (2.938163982698783, 4.374664141464968, -2.549732539343734,
+     -2.400758277161838, -0.3223964580411365, -0.007784894002430293),
+    (1.0, 3.754408661907416, 2.445134137142996, 0.3224671290700398,
+     0.007784695709041462, 0.0),
+    (2.506628277459239, -30.66479806614716, 138.3577518672690,
+     -275.9285104469687, 220.9460984245205, -39.69683028665376),
+    (1.0, -13.28068155288572, 66.80131188771972, -155.6989798598866,
+     161.5858368580409, -54.47609879822406),
+]])
 
-    Above the median: the hazard is at most 1, so ln sf(x) >= ln pdf(x),
-    and an x with ln pdf(x) >= level lies below the crossing.  Below it:
-    the Chernoff bound at its best exponent, P{Erlang(m) <= x} <=
-    exp(-m (lam - 1 - ln lam)) for lam = x/m < 1, puts every x short of the
-    root of m (lam - 1 - ln lam) = -log_cdf below the crossing too.  In
-    v = ln lam both roots solve m (e^v - 1 - v) + a v = c, with a = 1 and
-    c = -level - ln(sqrt(2 pi m) Gamma*(m)) above (ln pdf in the form of
-    ``erlang_log_pdf``), a = 0 and c = -log_cdf below.  With t = c/m and
-    s = +-sqrt(2 t), two Newton steps start from the series
-    lam = 1 + s + s^2/3 + s^3/36 - s^4/270 of the inverse of lam - 1 - ln lam,
-    or past |s| = 2 from lam = 1 + t + ln(1 + t + ln(1 + t)) above and
-    lam = e^(-1 - t) below.  The function is convex in v, increasing above
-    and decreasing below, so from the first step on Newton lands past the
-    root above and short of it below.  Both results are pulled in by a
-    relative 1e-6, against rounding; below that is a bound, and above it
-    is kept only where ``erlang_log_pdf`` is at least the level with a
-    relative 1e-12 to spare.
-    """
-    above = level < -_LN2
-    k = 0.5 * math.log(2.0 * math.pi * m) + _ln_gamma_star(m)
-    t = np.where(above, np.maximum(-level - k, 0.0), -log_cdf) / m
-    s = np.where(above, 1.0, -1.0) * np.sqrt(2.0 * t)
-    r = np.clip(s, -2.0, 2.0)
-    lam = np.where(
-        np.abs(s) < 2.0,
-        1.0 + r * (1.0 + r * (1.0 / 3.0 + r * (1.0 / 36.0 - r / 270.0))),
-        np.where(above, 1.0 + t + np.log1p(t + np.log1p(t)), np.exp(-1.0 - t)),
+
+def _normal_quantile(log_p):
+    """The standard normal quantile at p <= 1/2 from a 1-d array of ln p, to
+    Acklam's relative 1.15e-9.  Below p = 0.02425 it reads only
+    sqrt(-2 ln p), so ln p may lie far below ln(2.2e-308); past about
+    -1e122 the rational overflows to NaN."""
+    tail = log_p < _ACKLAM_SPLIT
+    c = np.exp(log_p) - 0.5
+    q_num, q_den, r_num, r_den = _polyval(
+        _ACKLAM, np.where(tail, np.sqrt(-2.0 * log_p), c * c)
     )
-    v = np.log(lam)
-    a = np.where(above, 1.0 / m, 0.0)  # a of the equation divided by m
+    return np.where(tail, q_num / q_den, c * r_num / r_den)
+
+
+def _log_lam(eta):
+    """v = ln lam with lam - 1 - ln lam = eta^2/2 and sign(lam - 1) =
+    sign(eta), element-wise, within 4e-12 for |eta| < 2 and 6e-8 past it:
+    two Newton steps on e^v - 1 - v = t = eta^2/2 from the series
+    lam = 1 + eta + eta^2/3 + eta^3/36 - eta^4/270, or past |eta| = 2 from
+    lam = 1 + t + ln(1 + t + ln(1 + t)) above and v = -1 - t below."""
+    t = 0.5 * eta * eta
+    r = np.clip(eta, -2.0, 2.0)
+    v = np.log(1.0 + r * (1.0 + r * (1.0 / 3.0 + r * (1.0 / 36.0 - r / 270.0))))
+    far = np.abs(eta) >= 2.0
+    if far.any():
+        above = np.log(1.0 + t + np.log1p(t + np.log1p(t)))
+        v = np.where(far, np.where(eta > 0.0, above, -1.0 - t), v)
     for _ in range(2):
         e = np.expm1(v)
-        v = v - (e - v + a * v - t) / (e + a)
-    x = (m * (1.0 - 1e-6)) * np.exp(v)
-    proved = ~above | (erlang_log_pdf(m, x) >= (1.0 - 1e-12) * level)
-    return np.where(proved, x, 0.0)
+        v = v - (e - v - t) / e
+    return v
+
+
+def _temme_start(m: int, level):
+    """ln x of Temme's first-order inversion of ln sf(m, x) = level, over a
+    1-d array (Temme, Math. Comp. 58, 1992; Gil, Segura and Temme, SIAM J.
+    Sci. Comput. 34, 2012): eta0 = z / sqrt(m) for the normal quantile z of
+    1 - sf, read from ln sf above the median and ln(1 - sf) below it;
+    eta = eta0 + eps / m with eps = ln(eta0 / (lam0 - 1)) / eta0; x =
+    m lam(eta), with ln lam(eta) a second-order Taylor step in eps / m from
+    ln lam0 (within 1.8e-5 of a solve at m = 5, 2e-12 at m = 1000).  Not a
+    bound: on either side of the root, within 4.1e-3 in ln x at m = 5,
+    1.1e-3 at m = 10 and 2e-8 at m = 1000; NaN past levels near -1e122."""
+    above = level < -_LN2
+    with np.errstate(all="ignore"):
+        w = _normal_quantile(np.where(above, level, log1mexp(-level)))
+        eta0 = np.where(above, -w, w) / math.sqrt(m)
+        v0 = _log_lam(eta0)
+        e0 = np.expm1(v0)  # lam0 - 1
+        small = np.abs(eta0) < 1e-3  # where the limits keep their digits
+        eps = np.where(small, -1.0 / 3.0 + eta0 / 36.0, np.log(eta0 / e0) / eta0)
+        # dv/deta = eta0 / (lam0 - 1) and d2v/deta2 at eta0, for v = ln lam
+        slope = np.exp(eta0 * eps)
+        curve = np.where(small, -1.0 / 3.0, (1.0 - slope * slope * (1.0 + e0)) / e0)
+        d = eps / m
+        return math.log(m) + v0 + d * (slope + 0.5 * d * curve)
 
 
 def above_crossing(m: int, level):
@@ -490,17 +522,17 @@ def erlang_log_sf_inverse(m: int, level):
 
     The search runs in u = ln x on G(u) = ln(-ln sf), the log of the
     cumulative hazard, which rises like m u far below the mode and like u
-    far above it: ``halley`` steps from ``below_crossing``, with
-    ``above_crossing`` as the bracket's other end, in 2 to 4 kernel calls
-    per array at levels from the log of the smallest normal double to 0
-    (2 at m = 1, 3 at m = 2, 3 and every m > 40, 4 between), and in 2 at
-    levels past -1e15.  The last step, at most 1e-7, is applied as
-    x + x expm1(step), not as e^(u + step): at m = 1e6 one ulp of u is
-    1.8e-15 of x, and x hazard(x) is 800 at the mode, so it would move
-    ln sf by 1.4e-12.  Against 40-digit mpmath, x is within 4e-15 relative
-    at levels from -1e-20 to -700 and 2e-16 past -1e15; nearer 0 the
-    kernel's error sets it, 3e-14 at m = 2.  An x that rounds past the
-    largest double is capped there.
+    far above it: ``halley`` steps within ``below_crossing`` and
+    ``above_crossing``, from the exact x = -level at m = 1, from
+    ``below_crossing`` at m = 2-4 and from ``_temme_start`` at m >= 5.  Per
+    array, at every level: 1 kernel call at m = 1, 3 at m = 2-4, 2 at
+    m >= 5, and 1 on the moment grids from m = 1000 on.  The last step, at
+    most 1e-7, is applied as x + x expm1(step), not as e^(u + step): at
+    m = 1e6 one ulp of u is 1.8e-15 of x, and x hazard(x) is 800 at the
+    mode, so it would move ln sf by 1.4e-12.  Against 40-digit mpmath, x
+    is within 4e-15 relative at levels from -1e-20 to -700 and 2e-16 past
+    -1e15; nearer 0 the kernel's error sets it, 3e-14 at m = 2.  An x that
+    rounds past the largest double is capped there.
     """
     m = check_count(m, "Erlang shape")
     level = np.array(level, dtype=np.float64)
@@ -511,10 +543,15 @@ def erlang_log_sf_inverse(m: int, level):
     inner = (flat < 0.0) & (flat > -math.inf)
     if inner.any():
         target = np.minimum(flat[inner], -_TINY)
+        start = None  # at m = 2-4 Temme's start is 0.6-2.5% off
+        if m == 1:
+            start = np.log(-target)  # exact: ln sf = -x
+        elif m >= 5:
+            start = _temme_start(m, target)
         u, step = halley(
             lambda u, level: _log_cumulative_hazard(m, u, level), target,
             np.log(below_crossing(m, target)), np.log(above_crossing(m, target)),
-            _INVERSE_STEP, "Erlang survival inverse failed to solve its level",
+            _INVERSE_STEP, "Erlang survival inverse failed to solve its level", start,
         )
         x = np.exp(u)
         with np.errstate(over="ignore"):

@@ -196,7 +196,15 @@ class TestSimulateCommand:
         r1.pop("wall_time_ms"), r2.pop("wall_time_ms")
         assert r1 == r2
 
-    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # and it fails before the sampler draws any replication
+        drawn, sampler = [], cli._SAMPLERS["poissonized"]
+
+        def spy(config):
+            drawn.append(config)
+            return sampler(config)
+
+        monkeypatch.setitem(cli._SAMPLERS, "poissonized", spy)
         out_file = tmp_path / "missing" / "samples.csv"
         code, out, err = run_cli(
             capsys,
@@ -207,6 +215,7 @@ class TestSimulateCommand:
         assert out == ""
         assert err.startswith("error:") and str(out_file) in err
         assert not out_file.parent.exists()
+        assert drawn == []
 
     def test_coupled_summary_mean(self, capsys):
         code, out, _ = run_cli(

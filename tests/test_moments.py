@@ -354,6 +354,64 @@ class TestCrossing:
         u, step = halley(_square, 10.0, root, 5.0, 1e-7, "unused")
         assert u == root and abs(step) <= 1e-15
 
+    @pytest.mark.parametrize("start", [1.5, 3.0, math.sqrt(10.0), 3.5, 3.99])
+    def test_a_start_on_either_side_finds_the_same_root(self, start):
+        evaluations = []
+
+        def g(x, level):
+            evaluations.append(x)
+            return _square(x, level)
+
+        u, step = halley(g, 10.0, 1.0, 4.0, 1e-7, "unused", start)
+        assert list(evaluations[0]) == [start]
+        proved = halley(_square, 10.0, 1.0, 4.0, 1e-7, "unused")
+        assert u + step == pytest.approx(proved[0] + proved[1], rel=1e-15)
+        assert abs(step) <= 1e-7
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, 0.5, 1.0, 4.0, 7.0])
+    def test_a_start_outside_the_bracket_falls_back_to_lo(self, start):
+        evaluations = []
+
+        def g(x, level):
+            evaluations.append(x)
+            return _square(x, level)
+
+        got = halley(g, 10.0, 1.0, 4.0, 1e-7, "unused", start)
+        assert list(evaluations[0]) == [1.0]
+        assert got == halley(_square, 10.0, 1.0, 4.0, 1e-7, "unused")
+
+    def test_a_proved_start_above_its_level_still_raises(self):
+        # Element 0 starts above the root from an unproved start, which is
+        # allowed; element 1 falls back to its lower end, 4, which is past
+        # the root: NumericError at the first evaluation
+        evaluations = []
+
+        def g(x, level):
+            evaluations.append(x)
+            return _square(x, level)
+
+        levels, lefts, rights = np.full(2, 10.0), np.array([1.0, 4.0]), np.full(2, 5.0)
+        with pytest.raises(NumericError, match="no crossing"):
+            halley(g, levels, lefts, rights, 1e-7, "no crossing", np.array([3.5, math.nan]))
+        assert len(evaluations) == 1
+        u, step = halley(_square, 10.0, 1.0, 5.0, 1e-7, "unused", 3.5)
+        assert u + step == pytest.approx(math.sqrt(10.0), rel=1e-15)
+
+    def test_a_wrong_lo_under_a_start_above_the_root_raises(self):
+        # The root, sqrt(10), lies below lo = 3.5: a start at 4 is above it
+        # and is not checked, but every step toward the root leaves the
+        # bracket and bisects it toward lo, so no step ever ends the search
+        evaluations = []
+
+        def g(x, level):
+            evaluations.append(x[0])
+            return _square(x, level)
+
+        with pytest.raises(NumericError, match="no crossing"):
+            halley(g, 10.0, 3.5, 5.0, 1e-7, "no crossing", 4.0)
+        assert len(evaluations) == 100
+        assert min(evaluations) >= 3.5
+
     def test_array_elements_search_on_their_own(self):
         # Each element's result equals its scalar search, whatever the
         # batch: brackets from 2 to 2e12 wide and different step counts
@@ -411,12 +469,18 @@ class TestTailWindow:
         assert len(kernel_calls) <= 8  # both ends, 6 Newton steps and the final one
 
     # Kernel calls per moment grid, which a slower start or search raises:
-    # 3 at m > 40, where the density bound starts the search, and at m <= 40
-    # what the closed-form bounds alone take
+    # 1 at m = 1, whose start is exact, 3 from the closed-form bounds at
+    # m = 2-4, and from Temme's start 2 at m = 5-300 and 1 from m = 1000 on.
+    # The ids are fixed names, so that a case keeps its name when its bound
+    # is tightened.
     @pytest.mark.parametrize(
         "m, most",
-        [(1, 2), (2, 3), (3, 3), (10, 4), (40, 4),
-         (41, 3), (100, 3), (1000, 3), (30000, 3), (10**6, 3)],
+        [pytest.param(m, most, id=name) for m, most, name in (
+            (1, 1, "1-2"), (2, 3, "2-3"), (3, 3, "3-3"), (4, 3, "4-3"),
+            (5, 2, "5-2"), (10, 2, "10-4"), (40, 2, "40-4"), (41, 2, "41-3"),
+            (100, 2, "100-3"), (300, 2, "300-2"), (1000, 1, "1000-3"),
+            (30000, 1, "30000-3"), (10**6, 1, "1000000-3"),
+        )],
     )
     @pytest.mark.parametrize("n", [10, 1000, 10**6])
     def test_moment_grid_kernel_calls(self, kernel_calls, m, most, n):

@@ -236,18 +236,20 @@ class TestErlangLogSfInverse:
         erlang_log_sf_inverse(3, level)
         assert len(calls) <= 3
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 40, 41, 1000, 10**6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 10, 40, 41, 1000, 10**6])
     def test_kernel_calls_over_every_level(self, monkeypatch, m):
-        # Deterministic counts, so a slower search fails here: 2 to 5 from
-        # the log of the smallest normal double, subnormal levels included,
-        # up to 0, and 2 far past it
+        # Deterministic counts, so a slower search fails here, from the log
+        # of the smallest normal double, subnormal levels included, up to 0,
+        # and far past it: 1 at m = 1, whose start is exact, 3 from the
+        # closed-form bounds at m = 2-4 and 2 from Temme's start at m >= 5
+        most = 1 if m == 1 else 3 if m < 5 else 2
         calls = self._count_kernel_calls(monkeypatch)
         normal = -np.geomspace(special._TINY, -math.log(special._TINY), 400)
         erlang_log_sf_inverse(m, np.concatenate([[-5e-324, -1e-310], normal]))
-        assert len(calls) <= 5
+        assert len(calls) <= most
         calls.clear()
         erlang_log_sf_inverse(m, -np.geomspace(1e15, 1.797e308, 40))
-        assert len(calls) <= 3
+        assert len(calls) <= min(most, 2)
 
     def test_log1mexp(self):
         a = np.array([0.0, 1e-300, 1e-10, math.log(2.0), 1.0, 40.0, 800.0])
@@ -259,9 +261,8 @@ class TestErlangLogSfInverse:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 40, 41, 100, 1000, 30000, 10**6])
     def test_start_is_below_the_crossing(self, m):
-        # Both sides of m = 40, where the density bound begins, and a dense
-        # bulk, where it meets the closed forms near the median; subnormal
-        # and far levels too
+        # A dense bulk, where the closed forms meet near the median, and
+        # subnormal and far levels too
         level = np.concatenate([
             [-5e-324, -1e-310],
             -np.geomspace(1e-300, 700.0, 200),
@@ -272,6 +273,24 @@ class TestErlangLogSfInverse:
             warnings.simplefilter("error")
             x = below_crossing(m, level)
         assert (erlang_log_sf(m, x) > level).all()
+
+    @pytest.mark.parametrize("m, bound", [(5, 4.1e-3), (10, 1.1e-3), (1000, 2e-8)])
+    def test_temme_start_error(self, m, bound):
+        # In ln x against the solved root, over every normal level; the
+        # first-order inversion's error falls like a power of 1/m
+        level = -np.geomspace(special._TINY, -math.log(special._TINY), 400)
+        start = special._temme_start(m, level)
+        err = np.abs(start - np.log(erlang_log_sf_inverse(m, level)))
+        assert err.max() <= bound, err.max()
+
+    def test_temme_start_past_the_rational_is_nan(self):
+        # Far past -1e122 the normal quantile's rational overflows: the
+        # start is NaN, without a warning, and the search falls back to
+        # its proved lower end
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = special._temme_start(41, np.array([-1e200, -1.797e308]))
+        assert np.isnan(start).all()
 
     @pytest.mark.parametrize("m", [1, 2, 40, 41, 1000, 10**6])
     def test_end_is_above_the_crossing(self, m):
@@ -434,8 +453,24 @@ class TestErlangLogSfAccuracy:
         assert worst <= 1e-12, worst
 
 
+class TestNormalQuantileAccuracy:
+    def test_relative_error_against_mpmath(self, mp):
+        # Acklam states a relative 1.15e-9; ln p near ln 1/2 rounds p - 1/2
+        # to an absolute 1e-16, which the quantile magnifies by 1/phi < 2.6
+        split = special._ACKLAM_SPLIT
+        log_p = np.concatenate([
+            -np.geomspace(math.log(2.0), 708.0, 300),
+            [np.nextafter(split, -1.0), split, np.nextafter(split, 0.0)],
+        ])
+        got = special._normal_quantile(log_p)
+        with mp.workdps(30):
+            for lp, z in zip(log_p.tolist(), got.tolist()):
+                want = mp.findroot(lambda x: mp.log(mp.ncdf(x)) - lp, z)
+                assert abs(z - want) <= 1.15e-9 * abs(want) + 1e-15, (lp, z)
+
+
 class TestErlangLogSfInverseAccuracy:
-    @pytest.mark.parametrize("m", [1, 3, 40, 41, 100, 1000, 30000, 10**6])
+    @pytest.mark.parametrize("m", [1, 3, 5, 10, 20, 40, 41, 100, 1000, 30000, 10**6])
     @pytest.mark.parametrize(
         "low, high, bound",
         [(1e-300, 1e-20, 1e-13), (1e-20, 700.0, 1e-14), (1e15, 1e300, 1e-15)],
