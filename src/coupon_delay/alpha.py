@@ -43,9 +43,11 @@ class AlphaSolution:
         return self.u * math.sqrt(self.beta) - math.sqrt(2.0)
 
 
-def _excess_log_gap(u):
-    """u - log1p(u), element-wise, without cancellation below u = 0.5."""
-    return np.where(u > 0.5, u - np.log1p(u), log1p_excess(np.minimum(u, 0.5)))
+def _excess_log_gap(u: float) -> float:
+    """u - log1p(u) for a float u > 0, without cancellation below u = 0.5.
+    NumPy's log1p, not ``math.log1p``: the two differ in the last bit for
+    about 1% of arguments, and the root would move with it."""
+    return u - float(np.log1p(u)) if u > 0.5 else log1p_excess(u)
 
 
 def _check_beta(beta) -> float:
@@ -64,9 +66,10 @@ def solve_alpha(beta: float) -> AlphaSolution:
     1/beta = log1p(1/beta) - log1p(u) < 0; and below u = 1/beta +
     sqrt(1/beta) sqrt(1/beta + 2), where u - log1p(u) >= u^2/(2 (1 + u)).
     Halley steps start at the larger lower bound, with u/(1 + u) and
-    1/(1 + u)^2 as the first two derivatives.  Deterministic,
-    |residual| <= 1e-12 throughout beta in [1e-6, 1e6] (and in practice far
-    beyond).
+    1/(1 + u)^2 as the first two derivatives, on Python floats (``halley``'s
+    0-d path: 5-9 us a call by timeit on a 2-vCPU Xeon host, where a
+    one-element array took 64-164 us).  Deterministic, |residual| <= 1e-12
+    throughout beta in [1e-6, 1e6] (and in practice far beyond).
     """
     beta = _check_beta(beta)
     inv_b = 1.0 / beta
@@ -83,8 +86,8 @@ def solve_alpha(beta: float) -> AlphaSolution:
         excess, inv_b, lo, inv_b + math.sqrt(inv_b) * math.sqrt(inv_b + 2.0),
         _REL_STEP * lo, f"failed to find the root for beta={beta}",
     )
-    u = float(u + step)
-    residual = float(beta * (_excess_log_gap(u) - inv_b))
+    u = u + step
+    residual = beta * (_excess_log_gap(u) - inv_b)
     return AlphaSolution(
         beta=beta, alpha=beta * (1.0 + u), u=u, residual=residual,
         iterations=evaluations,

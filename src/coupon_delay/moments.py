@@ -166,8 +166,11 @@ def delta_power_moment(
         raise NumericError(f"moment of order {s} exceeds the largest double")
     y = _Y_LO + _STEP * np.arange(int((40.0 + 3.0 * s - _Y_LO) / _STEP) + 1)
     q = _quantiles(ps, y, [np.empty(0)] if nodes is None else nodes)
-    # Q^s times the Gumbel weight exp(-y - e^-y)
-    value, abs_err = _trapezoid(q**s * np.exp(-y - np.exp(-y)), _STEP, cfg.rel_tol)
+    # Q^s times the Gumbel weight exp(-y - e^-y), as one exponential: Q^s
+    # alone overflows at the grid's far end for orders past 118 at (1, 1)
+    value, abs_err = _trapezoid(
+        np.exp(s * np.log(q) - y - np.exp(-y)), _STEP, cfg.rel_tol
+    )
     return MomentResult(value=value, abs_err=abs_err, method=METHOD_QUADRATURE)
 
 

@@ -215,9 +215,9 @@ def sample_poissonized(config: SimConfig) -> SampleBatch:
     replication costs O(1) time and memory at every (m, n), n = 1e12
     included: one generator reset, its share of a bulk key derivation, one
     draw, and its share of an ``erlang_log_sf_inverse`` call, 1 to 3 kernel
-    calls on 256 replications (2 at every m >= 5).  The values differ from the
-    Delta column of ``sample_coupled`` at the same seed; only the laws
-    agree.
+    calls on 256 replications (2 at m = 5-82, 1 from m = 90 on).  The values
+    differ from the Delta column of ``sample_coupled`` at the same seed; only
+    the laws agree.
     """
     return _sample(config, MODE_POISSONIZED)
 

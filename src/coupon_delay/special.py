@@ -10,9 +10,9 @@ solves a block of 256 levels at once) and is accurate to a relative 1e-12
 against mpmath at every shape; see its docstring.  The inverse takes Halley
 steps on the log of the cumulative hazard from Temme's asymptotic inversion,
 with proved closed-form bounds as the bracket: 1 to 3 kernel calls per block
-(2 at every m >= 5, 1 on the moment grids at m >= 1000), through
+(3 at m = 2-4, 2 at m = 5-82, 1 at m = 1 and from m = 90 on), through
 ``halley``, the package's one root-finder, which also solves for the
-critical-regime alpha.
+critical-regime alpha on Python floats.
 """
 
 from __future__ import annotations
@@ -85,9 +85,17 @@ def halley(g, level, lo, hi, tol, failure, start=None):
     step, for the caller to apply in the form that keeps the most digits.
     An element is evaluated until it is done and not after, so its result
     does not depend on the others in the array.
+
+    Where all five are 0-d (a float, a NumPy scalar or a 0-d array), the
+    same loop runs on Python floats: g gets a float, each of its three
+    results is taken as a float, and (u, step) are floats, bit for bit
+    those of a one-element array, evaluation by evaluation.  On one element
+    NumPy's per-call overhead costs about ten times the arithmetic.
     """
-    shape = np.shape(lo)
     given = (level, lo, hi, tol, lo if start is None else start)
+    if not any(getattr(a, "ndim", 0) for a in given):  # np.ndim costs 1 us
+        return _halley_floats(g, *(float(a) for a in given), failure)
+    shape = np.shape(lo)
     level, lo, hi, tol, start = (a.reshape(-1) for a in np.broadcast_arrays(
         *(np.asarray(a, dtype=np.float64) for a in given)))
     inside = (lo < start) & (start < hi)
@@ -113,6 +121,34 @@ def halley(g, level, lo, hi, tol, failure, start=None):
             )
         t = u + step
         u = np.where((lo < t) & (t < hi), t, 0.5 * lo + 0.5 * hi)
+    raise NumericError(failure)
+
+
+def _halley_floats(g, level, lo, hi, tol, start, failure):
+    """``halley``'s loop on one element as Python floats.  A zero slope or
+    Halley denominator, where arrays give NaN or inf, raises here; its step
+    is NaN, which is never done and always bisects, as there."""
+    inside = lo < start < hi
+    u = start if inside else lo
+    for k in range(_MAX_HALLEY_ROUNDS):
+        f, slope, curve = g(u, level)
+        f, slope, curve = float(f), float(slope), float(curve)
+        if f < 0.0:
+            lo = u
+        elif f > 0.0:
+            hi = u
+        try:
+            newton = f / slope
+            step = -newton / (1.0 - 0.5 * newton * curve / slope)
+        except ZeroDivisionError:
+            step = math.nan
+        done = abs(step) <= tol
+        if k == 0 and not done and f > 0.0 and not inside:
+            raise NumericError(failure)
+        if done:
+            return u, step
+        t = u + step
+        u = t if lo < t < hi else 0.5 * lo + 0.5 * hi
     raise NumericError(failure)
 
 
@@ -231,9 +267,11 @@ def _polyval(coef, x):
 
 
 def log1p_excess(mu):
-    """mu - log1p(mu), or lam - 1 - ln lam at lam = 1 + mu, for a NumPy float
-    or element by element over a 1-d array, with mu in [-1/2, 1]: the atanh
-    series in s = mu / (2 + mu), |s| <= 1/3, so nothing cancels."""
+    """mu - log1p(mu), or lam - 1 - ln lam at lam = 1 + mu, for a Python or
+    NumPy float or element by element over a 1-d array, with mu in
+    [-1/2, 1]: the atanh series in s = mu / (2 + mu), |s| <= 1/3, so nothing
+    cancels.  Only + - * / are used, so a float gives the bits of a
+    one-element array."""
     s = mu / (2.0 + mu)
     s2 = s * s
     return s * mu - 2.0 * s * s2 * _polyval(_PHI_SERIES, s2)
@@ -386,16 +424,18 @@ def log1mexp(a):
         return np.where(a <= _LN2, np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
 
 
-def below_crossing(m: int, level):
+def below_crossing(m: int, level, log_cdf=None):
     """An x with ln sf(m, x) > level, element-wise for levels < 0: the
     largest of three lower bounds on the crossing, ln sf(m, x) >= -x (exact
     at m = 1), the Chernoff bound P{Erlang(m) <= x} <= exp(-(m - x)^2 / (2 m))
     for x < m and P{Erlang(m) <= x} < x^m / m!, the first and last taken a
     relative 1e-6 low so that rounding cannot put them past the crossing.
     0 at a subnormal level, above -2.2e-308, where a relative 1e-6 may not
-    move x past a rounding of ln sf."""
+    move x past a rounding of ln sf.  ``log_cdf``, ln(1 - sf) =
+    ``log1mexp(-level)``, is formed here unless the caller has it."""
     level = np.asarray(level, dtype=np.float64)
-    log_cdf = log1mexp(-level)
+    if log_cdf is None:
+        log_cdf = log1mexp(-level)
     chernoff = m - np.sqrt(-2.0 * m * log_cdf)
     power = np.exp((log_cdf + math.lgamma(m + 1.0)) / m) * (1.0 - 1e-6)
     start = np.maximum(np.maximum(-(1.0 - 1e-6) * level, chernoff), power)
@@ -451,19 +491,20 @@ def _log_lam(eta):
     return v
 
 
-def _temme_start(m: int, level):
+def _temme_start(m: int, level, log_cdf):
     """ln x of Temme's first-order inversion of ln sf(m, x) = level, over a
     1-d array (Temme, Math. Comp. 58, 1992; Gil, Segura and Temme, SIAM J.
     Sci. Comput. 34, 2012): eta0 = z / sqrt(m) for the normal quantile z of
-    1 - sf, read from ln sf above the median and ln(1 - sf) below it;
-    eta = eta0 + eps / m with eps = ln(eta0 / (lam0 - 1)) / eta0; x =
-    m lam(eta), with ln lam(eta) a second-order Taylor step in eps / m from
-    ln lam0 (within 1.8e-5 of a solve at m = 5, 2e-12 at m = 1000).  Not a
-    bound: on either side of the root, within 4.1e-3 in ln x at m = 5,
-    1.1e-3 at m = 10 and 2e-8 at m = 1000; NaN past levels near -1e122."""
+    1 - sf, read from ln sf above the median and from ``log_cdf`` =
+    ln(1 - sf) below it; eta = eta0 + eps / m with eps = ln(eta0 /
+    (lam0 - 1)) / eta0; x = m lam(eta), with ln lam(eta) a second-order
+    Taylor step in eps / m from ln lam0 (within 1.8e-5 of a solve at m = 5,
+    2e-12 at m = 1000).  Not a bound: on either side of the root, within
+    4.1e-3 in ln x at m = 5, 1.1e-3 at m = 10 and 2e-8 at m = 1000; NaN past
+    levels near -1e122."""
     above = level < -_LN2
     with np.errstate(all="ignore"):
-        w = _normal_quantile(np.where(above, level, log1mexp(-level)))
+        w = _normal_quantile(np.where(above, level, log_cdf))
         eta0 = np.where(above, -w, w) / math.sqrt(m)
         v0 = _log_lam(eta0)
         e0 = np.expm1(v0)  # lam0 - 1
@@ -491,7 +532,12 @@ def above_crossing(m: int, level):
 # from the finite sum instead, 1 / S_m(x) (m-1)! x^(1-m), where nothing
 # cancels and, at x > 2 m, _SERIES_TERMS terms reach 2^-63.
 _FAR_HAZARD = 2.0**22
-_INVERSE_STEP = 1e-7  # in ln x; the step's own error is cubic in it
+# The last Halley step's tolerance in ln x, at m = 1e6.  The step's own error
+# is cubic (Traub 1964), about K step^3 with K near m at the mode, so the
+# tolerance _INVERSE_STEP (1e6 / m)^(1/3), 1e-5 at m = 1, keeps that error
+# near 1e-15 at every shape.  Temme's start is within about 0.018 / m^2 in
+# ln x, inside that tolerance from m = 90 on: one kernel call per block.
+_INVERSE_STEP = 1e-7
 
 
 def _log_cumulative_hazard(m: int, u, level):
@@ -525,33 +571,39 @@ def erlang_log_sf_inverse(m: int, level):
     far above it: ``halley`` steps within ``below_crossing`` and
     ``above_crossing``, from the exact x = -level at m = 1, from
     ``below_crossing`` at m = 2-4 and from ``_temme_start`` at m >= 5.  Per
-    array, at every level: 1 kernel call at m = 1, 3 at m = 2-4, 2 at
-    m >= 5, and 1 on the moment grids from m = 1000 on.  The last step, at
-    most 1e-7, is applied as x + x expm1(step), not as e^(u + step): at
-    m = 1e6 one ulp of u is 1.8e-15 of x, and x hazard(x) is 800 at the
-    mode, so it would move ln sf by 1.4e-12.  Against 40-digit mpmath, x
-    is within 4e-15 relative at levels from -1e-20 to -700 and 2e-16 past
-    -1e15; nearer 0 the kernel's error sets it, 3e-14 at m = 2.  An x that
-    rounds past the largest double is capped there.
+    array: 1 kernel call at m = 1, 3 at m = 2-4, 2 at m = 5-82 and 1 from
+    m = 90 on, on moment grids and random levels; at m = 83-89 1 or 2, as
+    the levels fall, and below about m = 200 a block with levels nearer 0
+    than about -1e-120, deep in the lower tail, takes one call more.  The
+    last step, at most 1e-7 (1e6 / m)^(1/3) (see _INVERSE_STEP), is applied
+    as x + x expm1(step), not as e^(u + step): at m = 1e6 one ulp of u is
+    1.8e-15 of x, and x hazard(x) is 800 at the mode, so it would move ln sf
+    by 1.4e-12.  Against 40-digit mpmath, x is within 4e-15 relative at
+    levels from -1e-20 to -700 and 2e-16 past -1e15; nearer 0 the kernel's
+    error sets it, 3e-14 at m = 2.  An x that rounds past the largest double
+    is capped there.
     """
     m = check_count(m, "Erlang shape")
     level = np.array(level, dtype=np.float64)
     flat = level.reshape(-1)
-    if np.isnan(flat).any() or (flat > 0.0).any():
+    if not (flat <= 0.0).all():  # NaN compares false
         raise ValueError("level must be a log-probability, in [-inf, 0]")
     out = np.where(flat == 0.0, 0.0, math.inf)
     inner = (flat < 0.0) & (flat > -math.inf)
     if inner.any():
         target = np.minimum(flat[inner], -_TINY)
+        log_cdf = log1mexp(-target)
         start = None  # at m = 2-4 Temme's start is 0.6-2.5% off
         if m == 1:
             start = np.log(-target)  # exact: ln sf = -x
         elif m >= 5:
-            start = _temme_start(m, target)
+            start = _temme_start(m, target, log_cdf)
         u, step = halley(
             lambda u, level: _log_cumulative_hazard(m, u, level), target,
-            np.log(below_crossing(m, target)), np.log(above_crossing(m, target)),
-            _INVERSE_STEP, "Erlang survival inverse failed to solve its level", start,
+            np.log(below_crossing(m, target, log_cdf)),
+            np.log(above_crossing(m, target)),
+            _INVERSE_STEP * (1e6 / m) ** (1.0 / 3.0),
+            "Erlang survival inverse failed to solve its level", start,
         )
         x = np.exp(u)
         with np.errstate(over="ignore"):

@@ -26,7 +26,7 @@ from coupon_delay.moments import (
     rising_moments,
     variance_delay,
 )
-from coupon_delay.special import delta_from_exponential, halley
+from coupon_delay.special import delta_from_exponential, halley, log1mexp
 
 
 def harmonic_mean_delay(n):
@@ -253,6 +253,17 @@ class TestRisingMoments:
         assert rising_moments(ps, [np.int64(1)]) == rising_moments(ps, [1])
         assert rising_moments(ps, []) == []
 
+    def test_orders_up_to_the_largest_double_at_one_coupon(self):
+        # At (1, 1) Delta is a unit exponential and E[Delta^r] = r!, which
+        # fits in a double up to r = 170.  Q^r alone overflows at the grid's
+        # far end from r = 119 on; the integrand is formed as one
+        # exponential, so these orders come out right and warn of nothing
+        # (warnings are errors under the test settings)
+        orders = range(119, 171)
+        cfg = QuadratureConfig()
+        for r, got in zip(orders, rising_moments(ProblemSize(1, 1), orders, cfg)):
+            assert got.value == pytest.approx(math.factorial(r), rel=cfg.rel_tol)
+
     @pytest.mark.parametrize("m, n, r", [(1, 1, 171), (1000, 1000, 60)])
     def test_overflowing_order_computes_no_quantile(self, monkeypatch, m, n, r):
         # E[Delta^r] >= Gamma(r + 1) (at (1, 1)) and >= (m n)^r (at (1e3, 1e3))
@@ -269,27 +280,44 @@ def _square(x, level):
     return x * x - level, 2.0 * x, np.full_like(x, 2.0)
 
 
+def _one(value):
+    """A one-element array, which takes ``halley``'s array path."""
+    return np.array([value], dtype=np.float64)
+
+
+# halley's two paths: Python floats take its 0-d loop, one-element arrays
+# its array loop.  Every TestCrossing case runs on both.
+_BOTH_FORMS = (float, _one)
+
+
+def _first(x):
+    """The point ``halley`` evaluated, a float or a one-element array."""
+    return float(np.ravel(x)[0])
+
+
 class TestCrossing:
     def test_brackets_the_crossing(self):
-        evaluations = []
+        for form in _BOTH_FORMS:
+            evaluations = []
 
-        def g(x, level):
-            evaluations.append(x)
-            return _square(x, level)
+            def g(x, level):
+                evaluations.append(x)
+                return _square(x, level)
 
-        u, step = halley(g, 10.0, 1.0, 4.0, 1e-7, "unused")
-        assert u + step == pytest.approx(math.sqrt(10.0), rel=1e-15)
-        assert abs(step) <= 1e-7
-        # the first evaluation is at the lower end alone; the upper end is
-        # never evaluated
-        assert list(evaluations[0]) == [1.0]
-        assert all(4.0 not in x for x in evaluations)
-        assert len(evaluations) <= 6
+            u, step = halley(g, form(10.0), form(1.0), form(4.0), form(1e-7), "unused")
+            assert u + step == pytest.approx(math.sqrt(10.0), rel=1e-15)
+            assert abs(step) <= 1e-7
+            # the first evaluation is at the lower end alone; the upper end is
+            # never evaluated
+            assert np.ravel(evaluations[0]).tolist() == [1.0]
+            assert all(4.0 not in np.ravel(x) for x in evaluations)
+            assert len(evaluations) <= 6
 
     def test_brackets_an_increasing_g(self):
         cube = lambda x, level: (x**3 - level, 3.0 * x * x, 6.0 * x)
-        u, step = halley(cube, 10.0, 0.5, 4.0, 1e-7, "unused")
-        assert u + step == pytest.approx(10.0 ** (1.0 / 3.0), rel=1e-15)
+        for form in _BOTH_FORMS:
+            u, step = halley(cube, form(10.0), form(0.5), form(4.0), form(1e-7), "unused")
+            assert u + step == pytest.approx(10.0 ** (1.0 / 3.0), rel=1e-15)
 
     @pytest.mark.parametrize(
         "slope", [lambda x: 0.0 * x, lambda x: -2.0 * x], ids=["zero", "wrong-sign"]
@@ -299,86 +327,124 @@ class TestCrossing:
         # bracket: each evaluation after the first bisects it instead.  The
         # wrong-signed step falls within tol next to the root, and the
         # search ends there; a zero slope never ends it
-        evaluations = []
+        for form in _BOTH_FORMS:
+            evaluations = []
 
-        def g(x, level):
-            evaluations.append(x[0])
-            return x * x - level, slope(x), np.full_like(x, 2.0)
+            def g(x, level):
+                evaluations.append(_first(x))
+                return x * x - level, slope(x), np.full_like(x, 2.0)
 
-        if slope(1.0) == 0.0:
-            with pytest.raises(NumericError, match="no step"):
-                halley(g, 10.0, 1.0, 4.0, 1e-7, "no step")
-            assert len(evaluations) == 100
-        else:
-            u, step = halley(g, 10.0, 1.0, 4.0, 1e-7, "no step")
-            assert u + step == pytest.approx(math.sqrt(10.0), abs=1e-6)
-        lo, hi = 1.0, 4.0
-        for x in evaluations[1:]:
-            assert x == 0.5 * lo + 0.5 * hi
-            lo, hi = (x, hi) if x * x < 10.0 else (lo, x)
-        assert hi - lo <= 1e-6
+            args = (g, form(10.0), form(1.0), form(4.0), form(1e-7), "no step")
+            if slope(1.0) == 0.0:
+                with pytest.raises(NumericError, match="no step"):
+                    halley(*args)
+                assert len(evaluations) == 100
+            else:
+                u, step = halley(*args)
+                assert u + step == pytest.approx(math.sqrt(10.0), abs=1e-6)
+            lo, hi = 1.0, 4.0
+            for x in evaluations[1:]:
+                assert x == 0.5 * lo + 0.5 * hi
+                lo, hi = (x, hi) if x * x < 10.0 else (lo, x)
+            assert hi - lo <= 1e-6
+
+    def test_a_zero_halley_denominator_bisects(self):
+        # f = 1, f' = 1, f'' = 2 puts 1 - f f'' / (2 f'^2) at 0: the array
+        # path's step is inf and the float path's division raises, and both
+        # bisect instead, to the root at 0
+        for form in _BOTH_FORMS:
+            evaluations = []
+
+            def g(x, level):
+                evaluations.append(_first(x))
+                return x - level, np.ones_like(x), 2.0 * (x - level)
+
+            u, step = halley(g, form(0.0), form(-3.0), form(2.0), form(1e-7), "x", form(1.0))
+            assert evaluations == [1.0, -1.0, 0.0]
+            assert u == 0.0 and step == 0.0
+
+    def test_a_step_onto_a_bracket_end_bisects(self):
+        # The root of the linear g lies on lo itself: each exact Newton step
+        # lands on lo, which is outside the open bracket, so the search
+        # bisects toward it until the step is within tol
+        for form in _BOTH_FORMS:
+            evaluations = []
+
+            def g(x, level):
+                evaluations.append(_first(x))
+                return x - level, np.ones_like(x), np.zeros_like(x)
+
+            u, step = halley(g, form(1.0), form(1.0), form(4.0), form(1e-7), "x", form(3.0))
+            assert evaluations[:4] == [3.0, 2.0, 1.5, 1.25]
+            assert u + step == 1.0 and 0.0 < -step <= 1e-7
 
     def test_gives_up_when_the_steps_only_creep(self):
         # g rises to 5 at x = 5 and stays there, below the level 6, while
         # the slope claims it keeps rising: the root lies past hi = 8, the
         # steps keep leaving the bracket and their bisections creep up to
         # it, so after 100 evaluations the search stops with an error
-        calls = 0
+        for form in _BOTH_FORMS:
+            calls = 0
 
-        def g(x, level):
-            nonlocal calls
-            calls += 1
-            return np.minimum(x, 5.0) - level, np.ones_like(x), np.zeros_like(x)
+            def g(x, level):
+                nonlocal calls
+                calls += 1
+                return np.minimum(x, 5.0) - level, np.ones_like(x), np.zeros_like(x)
 
-        with pytest.raises(NumericError, match="flat"):
-            halley(g, 6.0, 1.0, 8.0, 1e-7, "flat")
-        assert calls == 100
+            with pytest.raises(NumericError, match="flat"):
+                halley(g, form(6.0), form(1.0), form(8.0), form(1e-7), "flat")
+            assert calls == 100
 
     def test_a_start_above_its_level_raises(self):
-        evaluations = []
+        for form in _BOTH_FORMS:
+            evaluations = []
 
-        def g(x, level):
-            evaluations.append(x)
-            return _square(x, level)
+            def g(x, level):
+                evaluations.append(x)
+                return _square(x, level)
 
-        # at once, on the first evaluation
-        with pytest.raises(NumericError, match="no crossing"):
-            halley(g, 10.0, 4.0, 5.0, 1e-7, "no crossing")
-        assert len(evaluations) == 1
+            # at once, on the first evaluation
+            with pytest.raises(NumericError, match="no crossing"):
+                halley(g, form(10.0), form(4.0), form(5.0), form(1e-7), "no crossing")
+            assert len(evaluations) == 1
+            # a start within tol past the root, where rounding may put a
+            # closed-form bound, is the root
+            root = np.nextafter(math.sqrt(10.0), 5.0)
+            u, step = halley(_square, form(10.0), form(root), form(5.0), form(1e-7), "unused")
+            assert u == root and abs(step) <= 1e-15
         levels, lefts = np.array([10.0, 10.0]), np.array([1.0, 4.0])
         with pytest.raises(NumericError, match="no crossing"):
             halley(_square, levels, lefts, lefts + 1.0, 1e-7, "no crossing")
-        # a start within tol past the root, where rounding may put a
-        # closed-form bound, is the root
-        root = np.nextafter(math.sqrt(10.0), 5.0)
-        u, step = halley(_square, 10.0, root, 5.0, 1e-7, "unused")
-        assert u == root and abs(step) <= 1e-15
 
     @pytest.mark.parametrize("start", [1.5, 3.0, math.sqrt(10.0), 3.5, 3.99])
     def test_a_start_on_either_side_finds_the_same_root(self, start):
-        evaluations = []
+        for form in _BOTH_FORMS:
+            evaluations = []
 
-        def g(x, level):
-            evaluations.append(x)
-            return _square(x, level)
+            def g(x, level):
+                evaluations.append(x)
+                return _square(x, level)
 
-        u, step = halley(g, 10.0, 1.0, 4.0, 1e-7, "unused", start)
-        assert list(evaluations[0]) == [start]
-        proved = halley(_square, 10.0, 1.0, 4.0, 1e-7, "unused")
-        assert u + step == pytest.approx(proved[0] + proved[1], rel=1e-15)
-        assert abs(step) <= 1e-7
+            args = form(10.0), form(1.0), form(4.0), form(1e-7)
+            u, step = halley(g, *args, "unused", form(start))
+            assert np.ravel(evaluations[0]).tolist() == [start]
+            proved = halley(_square, *args, "unused")
+            assert u + step == pytest.approx(proved[0] + proved[1], rel=1e-15)
+            assert abs(step) <= 1e-7
 
     @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, 0.5, 1.0, 4.0, 7.0])
     def test_a_start_outside_the_bracket_falls_back_to_lo(self, start):
-        evaluations = []
+        for form in _BOTH_FORMS:
+            evaluations = []
 
-        def g(x, level):
-            evaluations.append(x)
-            return _square(x, level)
+            def g(x, level):
+                evaluations.append(x)
+                return _square(x, level)
 
-        got = halley(g, 10.0, 1.0, 4.0, 1e-7, "unused", start)
-        assert list(evaluations[0]) == [1.0]
-        assert got == halley(_square, 10.0, 1.0, 4.0, 1e-7, "unused")
+            args = form(10.0), form(1.0), form(4.0), form(1e-7)
+            got = halley(g, *args, "unused", form(start))
+            assert np.ravel(evaluations[0]).tolist() == [1.0]
+            assert got == halley(_square, *args, "unused")
 
     def test_a_proved_start_above_its_level_still_raises(self):
         # Element 0 starts above the root from an unproved start, which is
@@ -394,23 +460,27 @@ class TestCrossing:
         with pytest.raises(NumericError, match="no crossing"):
             halley(g, levels, lefts, rights, 1e-7, "no crossing", np.array([3.5, math.nan]))
         assert len(evaluations) == 1
-        u, step = halley(_square, 10.0, 1.0, 5.0, 1e-7, "unused", 3.5)
-        assert u + step == pytest.approx(math.sqrt(10.0), rel=1e-15)
+        for form in _BOTH_FORMS:
+            u, step = halley(
+                _square, form(10.0), form(1.0), form(5.0), form(1e-7), "unused", form(3.5)
+            )
+            assert u + step == pytest.approx(math.sqrt(10.0), rel=1e-15)
 
     def test_a_wrong_lo_under_a_start_above_the_root_raises(self):
         # The root, sqrt(10), lies below lo = 3.5: a start at 4 is above it
         # and is not checked, but every step toward the root leaves the
         # bracket and bisects it toward lo, so no step ever ends the search
-        evaluations = []
+        for form in _BOTH_FORMS:
+            evaluations = []
 
-        def g(x, level):
-            evaluations.append(x[0])
-            return _square(x, level)
+            def g(x, level):
+                evaluations.append(_first(x))
+                return _square(x, level)
 
-        with pytest.raises(NumericError, match="no crossing"):
-            halley(g, 10.0, 3.5, 5.0, 1e-7, "no crossing", 4.0)
-        assert len(evaluations) == 100
-        assert min(evaluations) >= 3.5
+            with pytest.raises(NumericError, match="no crossing"):
+                halley(g, form(10.0), form(3.5), form(5.0), form(1e-7), "no crossing", form(4.0))
+            assert len(evaluations) == 100
+            assert min(evaluations) >= 3.5
 
     def test_array_elements_search_on_their_own(self):
         # Each element's result equals its scalar search, whatever the
@@ -422,9 +492,9 @@ class TestCrossing:
         u, step = halley(_square, levels, lefts, rights, tol, "unused")
         np.testing.assert_allclose(u + step, np.sqrt(levels), rtol=1e-15)
         for i in range(len(levels)):
-            assert (u[i], step[i]) == halley(
-                _square, levels[i], lefts[i], rights[i], tol[i], "unused"
-            )
+            for form in _BOTH_FORMS:
+                args = (form(a[i]) for a in (levels, lefts, rights, tol))
+                assert (u[i], step[i]) == halley(_square, *args, "unused")
         flipped = (levels[::-1], lefts[::-1], rights[::-1], tol[::-1])
         u2, step2 = halley(_square, *flipped, "unused")
         assert np.array_equal(u2, u[::-1]) and np.array_equal(step2, step[::-1])
@@ -432,6 +502,40 @@ class TestCrossing:
         u3, step3 = halley(_square, *square, "unused")
         assert np.array_equal(u3, u.reshape(3, 3))
         assert np.array_equal(step3, step.reshape(3, 3))
+
+    def test_float_and_array_paths_agree_bit_for_bit(self):
+        # Seeded brackets, levels and starts for g = x^3 + p x - level:
+        # both paths make the same evaluations and return the same (u, step)
+        # to the bit, or fail at the same evaluation.  Starts at 0 with p = 0
+        # give a zero slope, at level 0 a zero residual too, and starts
+        # outside the bracket fall back to lo.
+        rng = np.random.default_rng(2024)
+        outcomes = {"done": 0, "failed": 0}
+        for _ in range(400):
+            p = rng.choice([0.0, rng.uniform(0.0, 5.0)])
+            level = rng.choice([0.0, rng.uniform(-50.0, 50.0)])
+            lo, hi = np.sort(rng.uniform(-6.0, 6.0, 2))
+            start = rng.choice([None, 0.0, math.nan, rng.uniform(lo - 1.0, hi + 1.0)])
+            tol = 10.0 ** rng.uniform(-12.0, -2.0)
+            runs = []
+            for form in _BOTH_FORMS:
+                evaluations = []
+
+                def g(x, level):
+                    evaluations.append(_first(x).hex())
+                    return x * x * x + p * x - level, 3.0 * x * x + p, 6.0 * x
+
+                given = form(level), form(lo), form(hi), form(tol)
+                try:
+                    u, step = halley(g, *given, "failed", None if start is None else form(start))
+                    result = (_first(u).hex(), _first(step).hex())
+                except NumericError as exc:
+                    result = str(exc)
+                runs.append((result, evaluations))
+            assert runs[0] == runs[1], (p, level, lo, hi, start, tol)
+            outcomes["failed" if runs[0][0] == "failed" else "done"] += 1
+        # both kinds of outcome are exercised
+        assert min(outcomes.values()) >= 20, outcomes
 
 
 class TestTailWindow:
@@ -462,15 +566,29 @@ class TestTailWindow:
         return calls
 
     def test_kernel_calls(self, kernel_calls):
-        mean_delay(ProblemSize(5, 1000))
-        assert len(kernel_calls) <= 20  # one Newton search over all 189 nodes
-        kernel_calls.clear()
-        mean_delay(ProblemSize(10**6, 10))
-        assert len(kernel_calls) <= 8  # both ends, 6 Newton steps and the final one
+        # Exact kernel calls per block of the Erlang inverse, on the mean's
+        # 189-node grid and on 256 random levels: 1 at m = 1, whose start is
+        # exact, 3 from the closed-form bounds at m = 2-4, and from Temme's
+        # start 2 at m = 5-82 and 1 from m = 90 on, where the start, within
+        # about 0.018 / m^2 in ln x, is inside the last step's tolerance.  In
+        # between, a block takes 1 or 2 as its levels fall.
+        levels = log1mexp(np.random.default_rng(4).standard_exponential(256) / 4.0)
+        for m, calls in (
+            (1, 1), (2, 3), (3, 3), (4, 3), (5, 2), (10, 2), (40, 2), (41, 2),
+            (82, 2), (90, 1), (93, 1), (100, 1), (300, 1), (999, 1), (1000, 1),
+            (30000, 1), (10**6, 1),
+        ):
+            for n in (1, 1000, 10**6):
+                kernel_calls.clear()
+                mean_delay(ProblemSize(m, n))
+                assert len(kernel_calls) == calls, (m, n)
+            kernel_calls.clear()
+            special.erlang_log_sf_inverse(m, levels)
+            assert len(kernel_calls) == calls, m
 
     # Kernel calls per moment grid, which a slower start or search raises:
     # 1 at m = 1, whose start is exact, 3 from the closed-form bounds at
-    # m = 2-4, and from Temme's start 2 at m = 5-300 and 1 from m = 1000 on.
+    # m = 2-4, and from Temme's start 2 at m = 5-41 and 1 from m = 100 on.
     # The ids are fixed names, so that a case keeps its name when its bound
     # is tightened.
     @pytest.mark.parametrize(
@@ -478,7 +596,7 @@ class TestTailWindow:
         [pytest.param(m, most, id=name) for m, most, name in (
             (1, 1, "1-2"), (2, 3, "2-3"), (3, 3, "3-3"), (4, 3, "4-3"),
             (5, 2, "5-2"), (10, 2, "10-4"), (40, 2, "40-4"), (41, 2, "41-3"),
-            (100, 2, "100-3"), (300, 2, "300-2"), (1000, 1, "1000-3"),
+            (100, 1, "100-3"), (300, 1, "300-2"), (1000, 1, "1000-3"),
             (30000, 1, "30000-3"), (10**6, 1, "1000000-3"),
         )],
     )
