@@ -9,10 +9,10 @@ even m ln x - x - lgamma(m) loses nine digits to cancellation.
 solves a block of 256 levels at once) and is accurate to a relative 1e-12
 against mpmath at every shape; see its docstring.  The inverse takes Halley
 steps on the log of the cumulative hazard from Temme's asymptotic inversion,
-with proved closed-form bounds as the bracket: 1 to 3 kernel calls per block
-(3 at m = 2-4, 2 at m = 5-82, 1 at m = 1 and from m = 90 on), through
-``halley``, the package's one root-finder, which also solves for the
-critical-regime alpha on Python floats.
+with proved closed-form bounds as the bracket of the levels the start leaves
+undone: 1 or 2 kernel calls per block (2 at m = 2-4, 1 at m = 1 and from
+m = 17 on), through ``halley``, the package's one root-finder, which also
+solves for the critical-regime alpha on Python floats.
 """
 
 from __future__ import annotations
@@ -80,51 +80,93 @@ def halley(g, level, lo, hi, tol, failure, start=None):
     last digit.
 
     ``level``, lo, hi, tol and start are floats or arrays that broadcast to
-    lo's shape.  Returns (u, step), arrays of that shape: the last point
+    one shape.  Returns (u, step), arrays of that shape: the last point
     evaluated and the Halley step from it, whose error is cubic in the
     step, for the caller to apply in the form that keeps the most digits.
     An element is evaluated until it is done and not after, so its result
     does not depend on the others in the array.
 
-    Where all five are 0-d (a float, a NumPy scalar or a 0-d array), the
-    same loop runs on Python floats: g gets a float, each of its three
-    results is taken as a float, and (u, step) are floats, bit for bit
-    those of a one-element array, evaluation by evaluation.  On one element
-    NumPy's per-call overhead costs about ten times the arithmetic.
+    lo and hi may instead be functions that give the ends, as arrays, of
+    the elements at an array of indices into the flattened shape; start is
+    then required.  Where every start is finite, g is evaluated at the
+    starts first and the ends are asked for only for the elements not done
+    there.  The start then replaces the end on its side of the root where
+    it is nearer the root; where its residual contradicts the ends
+    (positive at or below lo, negative at or above hi), the element goes on
+    from lo, whose residual is checked as above.  A start inside its
+    bracket so gives the (u, step) of its ends given as arrays.  Where a
+    start is not finite, the ends of every element are asked for at once.
+
+    Where all five are 0-d (a float, a NumPy scalar or a 0-d array) and the
+    ends are given, the same loop runs on Python floats: g gets a float,
+    each of its three results is taken as a float, and (u, step) are
+    floats, bit for bit those of a one-element array, evaluation by
+    evaluation.  On one element NumPy's per-call overhead costs about ten
+    times the arithmetic.
     """
-    given = (level, lo, hi, tol, lo if start is None else start)
-    if not any(getattr(a, "ndim", 0) for a in given):  # np.ndim costs 1 us
+    deferred = callable(lo)
+    start = lo if start is None else start
+    given = (level, tol, start) if deferred else (level, tol, start, lo, hi)
+    if not (deferred or any(getattr(a, "ndim", 0) for a in given)):  # np.ndim: 1 us
         return _halley_floats(g, *(float(a) for a in given), failure)
-    shape = np.shape(lo)
-    level, lo, hi, tol, start = (a.reshape(-1) for a in np.broadcast_arrays(
-        *(np.asarray(a, dtype=np.float64) for a in given)))
-    inside = (lo < start) & (start < hi)
-    u = np.where(inside, start, lo)
+    arrays = [np.asarray(a, dtype=np.float64) for a in given]
+    shape = np.broadcast(*arrays).shape  # np.broadcast_arrays costs 8 us
+    level, tol, start, *ends = (
+        (a if a.shape == shape else np.full(shape, a)).reshape(-1) for a in arrays
+    )
+    index = np.arange(start.size)
+    if deferred and not np.isfinite(start).all():
+        ends, deferred = (lo(index), hi(index)), False
+    fresh = None  # where u is lo, not yet evaluated: its residual must be negative
+    if deferred:
+        u = start
+    else:
+        lo, hi = ends
+        inside = (lo < start) & (start < hi)
+        u, fresh = np.where(inside, start, lo), ~inside
     out_u, out_step = np.empty_like(u), np.empty_like(u)
-    index = np.arange(u.size)
-    for k in range(_MAX_HALLEY_ROUNDS):
+    for _ in range(_MAX_HALLEY_ROUNDS):
         f, slope, curve = g(u, level)
-        lo, hi = np.where(f < 0.0, u, lo), np.where(f > 0.0, u, hi)
         with np.errstate(all="ignore"):  # NaN where the slope is 0
             newton = f / slope
             step = -newton / (1.0 - 0.5 * newton * curve / slope)
         done = np.abs(step) <= tol
-        if k == 0 and (~done & (f > 0.0) & ~inside).any():
-            raise NumericError(failure)
+        if fresh is not None:
+            if (~done & (f > 0.0) & fresh).any():
+                raise NumericError(failure)
+            fresh = None
+        if index.size == out_u.size and done.all():  # all done in one round
+            return u.reshape(shape), step.reshape(shape)
         if done.any():
             out_u[index[done]], out_step[index[done]] = u[done], step[done]
             if done.all():
                 return out_u.reshape(shape), out_step.reshape(shape)
             wide = ~done
-            index, u, step, level, lo, hi, tol = (
-                a[wide] for a in (index, u, step, level, lo, hi, tol)
+            index, u, f, step, level, tol = (
+                a[wide] for a in (index, u, f, step, level, tol)
             )
+            if not deferred:
+                lo, hi = lo[wide], hi[wide]
+        if deferred:  # evaluated at the starts: now their ends, clipped there
+            deferred, lo, hi = False, lo(index), hi(index)
+            below = np.where(f < 0.0, np.maximum(lo, u), lo)
+            above = np.where(f > 0.0, np.minimum(hi, u), hi)
+            fresh = ~(below < above)  # the start's residual contradicts the ends
+            if fresh.any():
+                below, above = np.where(fresh, lo, below), np.where(fresh, hi, above)
+            else:
+                fresh = None
+            lo, hi = below, above
+        else:
+            lo, hi = np.where(f < 0.0, u, lo), np.where(f > 0.0, u, hi)
         t = u + step
         u = np.where((lo < t) & (t < hi), t, 0.5 * lo + 0.5 * hi)
+        if fresh is not None:
+            u = np.where(fresh, lo, u)
     raise NumericError(failure)
 
 
-def _halley_floats(g, level, lo, hi, tol, start, failure):
+def _halley_floats(g, level, tol, start, lo, hi, failure):
     """``halley``'s loop on one element as Python floats.  A zero slope or
     Halley denominator, where arrays give NaN or inf, raises here; its step
     is NaN, which is never done and always bisects, as there."""
@@ -424,18 +466,16 @@ def log1mexp(a):
         return np.where(a <= _LN2, np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
 
 
-def below_crossing(m: int, level, log_cdf=None):
+def below_crossing(m: int, level):
     """An x with ln sf(m, x) > level, element-wise for levels < 0: the
     largest of three lower bounds on the crossing, ln sf(m, x) >= -x (exact
     at m = 1), the Chernoff bound P{Erlang(m) <= x} <= exp(-(m - x)^2 / (2 m))
     for x < m and P{Erlang(m) <= x} < x^m / m!, the first and last taken a
     relative 1e-6 low so that rounding cannot put them past the crossing.
     0 at a subnormal level, above -2.2e-308, where a relative 1e-6 may not
-    move x past a rounding of ln sf.  ``log_cdf``, ln(1 - sf) =
-    ``log1mexp(-level)``, is formed here unless the caller has it."""
+    move x past a rounding of ln sf."""
     level = np.asarray(level, dtype=np.float64)
-    if log_cdf is None:
-        log_cdf = log1mexp(-level)
+    log_cdf = log1mexp(-level)
     chernoff = m - np.sqrt(-2.0 * m * log_cdf)
     power = np.exp((log_cdf + math.lgamma(m + 1.0)) / m) * (1.0 - 1e-6)
     start = np.maximum(np.maximum(-(1.0 - 1e-6) * level, chernoff), power)
@@ -479,7 +519,7 @@ def _log_lam(eta):
     lam = 1 + eta + eta^2/3 + eta^3/36 - eta^4/270, or past |eta| = 2 from
     lam = 1 + t + ln(1 + t + ln(1 + t)) above and v = -1 - t below."""
     t = 0.5 * eta * eta
-    r = np.clip(eta, -2.0, 2.0)
+    r = np.minimum(np.maximum(eta, -2.0), 2.0)  # np.clip costs 1 us more
     v = np.log(1.0 + r * (1.0 + r * (1.0 / 3.0 + r * (1.0 / 36.0 - r / 270.0))))
     far = np.abs(eta) >= 2.0
     if far.any():
@@ -491,30 +531,76 @@ def _log_lam(eta):
     return v
 
 
-def _temme_start(m: int, level, log_cdf):
-    """ln x of Temme's first-order inversion of ln sf(m, x) = level, over a
+# Temme's inversion eta = eta0 + eps1 / m + eps2 / m^2 + ...: below
+# |eta0| = 0.15 the closed forms of eps1, (ln f)' and eps2 cancel, so there
+# they are Taylor series in eta0, each within 3e-8 of its closed form at the
+# switch: eps1 and eps2 as Temme gives them (Math. Comp. 58, 1992), eps2
+# with one term more, and (ln f)' = (eta0 eps1)'.  Ascending coefficients,
+# a column per series, so one Horner pass does all three;
+# tests/test_special.py regenerates every one with mpmath.
+_TEMME_SERIES_BELOW = 0.15
+_TEMME_SERIES = np.transpose([[
+    (-1.0 / 3.0, 1.0 / 36.0, 1.0 / 1620.0, -7.0 / 6480.0, 5.0 / 18144.0),
+    (-1.0 / 3.0, 1.0 / 18.0, 1.0 / 540.0, -7.0 / 1620.0, 25.0 / 18144.0),
+    (-7.0 / 405.0, -7.0 / 2592.0, 533.0 / 204120.0, -1579.0 / 2099520.0,
+     6.2299954275262917e-05),
+]])
+# From this shape on the first-order start is within half the last step's
+# tolerance (see _INVERSE_STEP) at every level, and eps2 / m^2 is not
+# formed; below about m = 165 it misses the tolerance at levels near 0,
+# deep in the lower tail.
+_FIRST_ORDER_FROM = 200
+
+
+def _temme_terms(eta0, e0, second):
+    """(eps1, (ln f)', eps2) of Temme's inversion (see ``_temme_start``) at
+    eta0, with e0 = lam0 - 1, and eps2 None unless ``second``.  Below
+    |eta0| = _TEMME_SERIES_BELOW their series; above it eps1 = ln f / eta0,
+    (ln f)' = 1/eta0 - eta0 lam0 / (lam0 - 1)^2 and, from eps1' =
+    ((ln f)' - eps1) / eta0, eps2 = ((eps1 + 1/eta0) (ln f)' - eps1 (1/eta0
+    + eps1 / 2) - 1/12) / eta0.  Run under the caller's np.errstate: the
+    closed forms are NaN at eta0 = 0, where the series is kept."""
+    near = np.abs(eta0) < _TEMME_SERIES_BELOW
+    eps1, log_f_slope, eps2 = _polyval(_TEMME_SERIES, eta0)
+    if not near.all():
+        inverse = 1.0 / eta0
+        closed1 = np.log(eta0 / e0) * inverse
+        closed_slope = inverse - eta0 * (1.0 + e0) / (e0 * e0)
+        eps1 = np.where(near, eps1, closed1)
+        log_f_slope = np.where(near, log_f_slope, closed_slope)
+        if second:
+            closed2 = (closed1 + inverse) * closed_slope - 1.0 / 12.0
+            closed2 -= closed1 * (inverse + 0.5 * closed1)
+            eps2 = np.where(near, eps2, closed2 * inverse)
+    return eps1, log_f_slope, eps2 if second else None
+
+
+def _temme_start(m: int, level):
+    """ln x of Temme's asymptotic inversion of ln sf(m, x) = level, over a
     1-d array (Temme, Math. Comp. 58, 1992; Gil, Segura and Temme, SIAM J.
     Sci. Comput. 34, 2012): eta0 = z / sqrt(m) for the normal quantile z of
-    1 - sf, read from ln sf above the median and from ``log_cdf`` =
-    ln(1 - sf) below it; eta = eta0 + eps / m with eps = ln(eta0 /
-    (lam0 - 1)) / eta0; x = m lam(eta), with ln lam(eta) a second-order
-    Taylor step in eps / m from ln lam0 (within 1.8e-5 of a solve at m = 5,
-    2e-12 at m = 1000).  Not a bound: on either side of the root, within
-    4.1e-3 in ln x at m = 5, 1.1e-3 at m = 10 and 2e-8 at m = 1000; NaN past
-    levels near -1e122."""
+    1 - sf, read from ln sf above the median and from ln(1 - sf) =
+    ln(-expm1(ln sf)) below it; eta = eta0 + eps1 / m + eps2 / m^2, the
+    second term below m = _FIRST_ORDER_FROM only; x = m lam(eta), with
+    ln lam(eta) a second-order Taylor step from ln lam0.  With f =
+    eta0 / (lam0 - 1) = d ln lam / d eta, the terms come from
+    e^(-m eta^2 / 2) f(eta) deta = Gamma*(m) e^(-m eta0^2 / 2) deta0,
+    Gamma*(m) = 1 + 1 / (12 m) + ..., order by order in 1/m: eps1 =
+    ln f / eta0 and eps2 = (eps1 (ln f)' - eps1^2 / 2 + eps1' - 1/12) / eta0
+    (see ``_temme_terms``).  Not a bound: on either side of the root, within
+    2.1e-3 in ln x at m = 2, 1.5e-4 at m = 5, 2.0e-5 at m = 10, 2.5e-6 at
+    m = 20 and 2e-8 at m = 1000; NaN past levels near -1e122."""
     above = level < -_LN2
     with np.errstate(all="ignore"):
-        w = _normal_quantile(np.where(above, level, log_cdf))
+        w = _normal_quantile(np.where(above, level, np.log(-np.expm1(level))))
         eta0 = np.where(above, -w, w) / math.sqrt(m)
         v0 = _log_lam(eta0)
         e0 = np.expm1(v0)  # lam0 - 1
-        small = np.abs(eta0) < 1e-3  # where the limits keep their digits
-        eps = np.where(small, -1.0 / 3.0 + eta0 / 36.0, np.log(eta0 / e0) / eta0)
-        # dv/deta = eta0 / (lam0 - 1) and d2v/deta2 at eta0, for v = ln lam
-        slope = np.exp(eta0 * eps)
-        curve = np.where(small, -1.0 / 3.0, (1.0 - slope * slope * (1.0 + e0)) / e0)
-        d = eps / m
-        return math.log(m) + v0 + d * (slope + 0.5 * d * curve)
+        eps1, log_f_slope, eps2 = _temme_terms(eta0, e0, m < _FIRST_ORDER_FROM)
+        d = eps1 / m if eps2 is None else eps1 / m + eps2 / (m * m)
+        # d ln lam / d eta = f = e^(eta0 eps1) and d2 ln lam / d eta2 = f (ln f)'
+        slope = np.exp(eta0 * eps1)
+        return math.log(m) + v0 + d * slope * (1.0 + 0.5 * d * log_f_slope)
 
 
 def above_crossing(m: int, level):
@@ -535,8 +621,10 @@ _FAR_HAZARD = 2.0**22
 # The last Halley step's tolerance in ln x, at m = 1e6.  The step's own error
 # is cubic (Traub 1964), about K step^3 with K near m at the mode, so the
 # tolerance _INVERSE_STEP (1e6 / m)^(1/3), 1e-5 at m = 1, keeps that error
-# near 1e-15 at every shape.  Temme's start is within about 0.018 / m^2 in
-# ln x, inside that tolerance from m = 90 on: one kernel call per block.
+# near 1e-15 at every shape.  Temme's second-order start is within about
+# 0.018 / m^3 in ln x up to m = 20, inside that tolerance from m = 17 on,
+# and its first order within 0.034 / m^2 from m = _FIRST_ORDER_FROM: one
+# kernel call per block.
 _INVERSE_STEP = 1e-7
 
 
@@ -568,17 +656,18 @@ def erlang_log_sf_inverse(m: int, level):
 
     The search runs in u = ln x on G(u) = ln(-ln sf), the log of the
     cumulative hazard, which rises like m u far below the mode and like u
-    far above it: ``halley`` steps within ``below_crossing`` and
-    ``above_crossing``, from the exact x = -level at m = 1, from
-    ``below_crossing`` at m = 2-4 and from ``_temme_start`` at m >= 5.  Per
-    array: 1 kernel call at m = 1, 3 at m = 2-4, 2 at m = 5-82 and 1 from
-    m = 90 on, on moment grids and random levels; at m = 83-89 1 or 2, as
-    the levels fall, and below about m = 200 a block with levels nearer 0
-    than about -1e-120, deep in the lower tail, takes one call more.  The
-    last step, at most 1e-7 (1e6 / m)^(1/3) (see _INVERSE_STEP), is applied
-    as x + x expm1(step), not as e^(u + step): at m = 1e6 one ulp of u is
-    1.8e-15 of x, and x hazard(x) is 800 at the mode, so it would move ln sf
-    by 1.4e-12.  Against 40-digit mpmath, x is within 4e-15 relative at
+    far above it: ``halley`` steps from the exact x = -level at m = 1 and
+    from ``_temme_start`` at m >= 2, with ``below_crossing`` and
+    ``above_crossing`` as the bracket of the levels that the start leaves
+    undone.  Per array: 1 kernel call at m = 1 and from m = 17 on, 2 at
+    m = 2-4, and at m = 5-16 2 or, at larger n, 1, on moment grids, on
+    random levels and on every level from -5e-324 to ln(2.2e-308); a block
+    done in one call forms no bracket.  Past about -1e122 the start is NaN,
+    and such a block searches from ``below_crossing``: 1 call up to about
+    m = 900, 2 from m = 1000.  The last step, at most 1e-7 (1e6 / m)^(1/3)
+    (see _INVERSE_STEP), is applied as x + x expm1(step), not as
+    e^(u + step): at m = 1e6 one ulp of u is 1.8e-15 of x, and x hazard(x)
+    is 800 at the mode, so it would move ln sf by 1.4e-12.  Against 40-digit mpmath, x is within 4e-15 relative at
     levels from -1e-20 to -700 and 2e-16 past -1e15; nearer 0 the kernel's
     error sets it, 3e-14 at m = 2.  An x that rounds past the largest double
     is capped there.
@@ -592,16 +681,11 @@ def erlang_log_sf_inverse(m: int, level):
     inner = (flat < 0.0) & (flat > -math.inf)
     if inner.any():
         target = np.minimum(flat[inner], -_TINY)
-        log_cdf = log1mexp(-target)
-        start = None  # at m = 2-4 Temme's start is 0.6-2.5% off
-        if m == 1:
-            start = np.log(-target)  # exact: ln sf = -x
-        elif m >= 5:
-            start = _temme_start(m, target, log_cdf)
+        start = np.log(-target) if m == 1 else _temme_start(m, target)  # m = 1: exact
         u, step = halley(
             lambda u, level: _log_cumulative_hazard(m, u, level), target,
-            np.log(below_crossing(m, target, log_cdf)),
-            np.log(above_crossing(m, target)),
+            lambda i: np.log(below_crossing(m, target[i])),
+            lambda i: np.log(above_crossing(m, target[i])),
             _INVERSE_STEP * (1e6 / m) ** (1.0 / 3.0),
             "Erlang survival inverse failed to solve its level", start,
         )

@@ -482,6 +482,58 @@ class TestCrossing:
             assert len(evaluations) == 100
             assert min(evaluations) >= 3.5
 
+    def test_ends_as_functions_are_asked_for_where_the_start_misses(self):
+        # lo and hi given as functions of indices: g is evaluated at the
+        # starts first, and only the elements not done there get ends; each
+        # element then searches as with its ends given as arrays
+        levels = np.array([4.0, 10.0, 16.0, 30.0])
+        starts = np.array([2.0, 3.5, 4.0, 5.0])  # exact, above its root, exact, below
+        lows, highs = np.full(4, 1.0), np.full(4, 8.0)
+        asked = []
+
+        def ends(values, name):
+            def give(index):
+                asked.append((name, index.tolist()))
+                return values[index]
+            return give
+
+        lo, hi = ends(lows, "lo"), ends(highs, "hi")
+        u, step = halley(_square, levels, lo, hi, 1e-7, "x", starts)
+        assert asked == [("lo", [1, 3]), ("hi", [1, 3])]
+        given = halley(_square, levels, lows, highs, 1e-7, "x", starts)
+        assert np.array_equal(u, given[0]) and np.array_equal(step, given[1])
+        np.testing.assert_allclose(u + step, np.sqrt(levels), rtol=1e-15)
+
+    def test_ends_as_functions_check_a_start_against_them(self):
+        # A start whose residual contradicts its ends (positive, below lo)
+        # goes on from lo, whose residual must then be negative; a NaN
+        # start has every element's ends asked for at once, and that
+        # element starts at lo
+        evaluations = []
+
+        def g(x, level):
+            evaluations.append(x.tolist())
+            return _square(x, level)
+
+        def const(value):
+            return lambda index: np.full(index.size, value)
+
+        with pytest.raises(NumericError, match="no crossing"):
+            halley(g, np.array([10.0]), const(4.0), const(8.0), 1e-7, "no crossing",
+                   np.array([3.5]))
+        assert evaluations == [[3.5], [4.0]]
+        evaluations.clear()
+        asked = []
+
+        def lo(index):
+            asked.append(index.tolist())
+            return np.full(index.size, 1.0)
+
+        u, step = halley(g, np.full(2, 10.0), lo, const(8.0), 1e-7, "x",
+                         np.array([3.0, math.nan]))
+        assert asked == [[0, 1]] and evaluations[0] == [3.0, 1.0]
+        np.testing.assert_allclose(u + step, math.sqrt(10.0), rtol=1e-15)
+
     def test_array_elements_search_on_their_own(self):
         # Each element's result equals its scalar search, whatever the
         # batch: brackets from 2 to 2e12 wide and different step counts
@@ -567,35 +619,37 @@ class TestTailWindow:
 
     def test_kernel_calls(self, kernel_calls):
         # Exact kernel calls per block of the Erlang inverse, on the mean's
-        # 189-node grid and on 256 random levels: 1 at m = 1, whose start is
-        # exact, 3 from the closed-form bounds at m = 2-4, and from Temme's
-        # start 2 at m = 5-82 and 1 from m = 90 on, where the start, within
-        # about 0.018 / m^2 in ln x, is inside the last step's tolerance.  In
-        # between, a block takes 1 or 2 as its levels fall.
+        # 189-node grid at n = 1, 1000 and 1e6 and on 256 random levels: 1 at
+        # m = 1, whose start is exact, 2 at m = 2-4, and 1 from m = 17 on,
+        # where Temme's second-order start, within 3.7e-6 in ln x at m = 17,
+        # is inside the last step's tolerance.  In between, a block takes 1
+        # or 2 as its levels fall.
         levels = log1mexp(np.random.default_rng(4).standard_exponential(256) / 4.0)
         for m, calls in (
-            (1, 1), (2, 3), (3, 3), (4, 3), (5, 2), (10, 2), (40, 2), (41, 2),
-            (82, 2), (90, 1), (93, 1), (100, 1), (300, 1), (999, 1), (1000, 1),
-            (30000, 1), (10**6, 1),
+            (1, 1), (2, 2), (3, 2), (4, 2), (5, (2, 2, 1, 2)), (10, (2, 1, 1, 2)),
+            (17, 1), (20, 1), (40, 1), (41, 1), (82, 1), (90, 1), (93, 1), (100, 1),
+            (300, 1), (999, 1), (1000, 1), (30000, 1), (10**6, 1),
         ):
+            want = calls if isinstance(calls, tuple) else (calls,) * 4
+            got = []
             for n in (1, 1000, 10**6):
                 kernel_calls.clear()
                 mean_delay(ProblemSize(m, n))
-                assert len(kernel_calls) == calls, (m, n)
+                got.append(len(kernel_calls))
             kernel_calls.clear()
             special.erlang_log_sf_inverse(m, levels)
-            assert len(kernel_calls) == calls, m
+            got.append(len(kernel_calls))
+            assert tuple(got) == want, m
 
     # Kernel calls per moment grid, which a slower start or search raises:
-    # 1 at m = 1, whose start is exact, 3 from the closed-form bounds at
-    # m = 2-4, and from Temme's start 2 at m = 5-41 and 1 from m = 100 on.
+    # 1 at m = 1, whose start is exact, 2 at m = 2-10 and 1 from m = 17 on.
     # The ids are fixed names, so that a case keeps its name when its bound
     # is tightened.
     @pytest.mark.parametrize(
         "m, most",
         [pytest.param(m, most, id=name) for m, most, name in (
-            (1, 1, "1-2"), (2, 3, "2-3"), (3, 3, "3-3"), (4, 3, "4-3"),
-            (5, 2, "5-2"), (10, 2, "10-4"), (40, 2, "40-4"), (41, 2, "41-3"),
+            (1, 1, "1-2"), (2, 2, "2-3"), (3, 2, "3-3"), (4, 2, "4-3"),
+            (5, 2, "5-2"), (10, 2, "10-4"), (40, 1, "40-4"), (41, 1, "41-3"),
             (100, 1, "100-3"), (300, 1, "300-2"), (1000, 1, "1000-3"),
             (30000, 1, "30000-3"), (10**6, 1, "1000000-3"),
         )],
@@ -604,6 +658,25 @@ class TestTailWindow:
     def test_moment_grid_kernel_calls(self, kernel_calls, m, most, n):
         rising_moments(ProblemSize(m, n), [1, 2, 3])
         assert len(kernel_calls) <= most
+
+    @pytest.mark.parametrize("m", [20, 100, 10**6])
+    @pytest.mark.parametrize("n", [1, 10, 1000, 10**6])
+    def test_one_call_blocks_form_no_bracket(self, monkeypatch, kernel_calls, m, n):
+        # The inverse asks for its proved ends only for the levels that its
+        # start leaves undone; a block done in one kernel call forms none
+        ends = []
+
+        def counted(bound):
+            def spy(m, level):
+                ends.append(np.size(level))
+                return bound(m, level)
+            return spy
+
+        for name in ("below_crossing", "above_crossing"):
+            monkeypatch.setattr(special, name, counted(getattr(special, name)))
+        rising_moments(ProblemSize(m, n), [1, 2, 3])
+        assert len(kernel_calls) == 1
+        assert ends == []
 
     def test_fixed_step_meets_any_tolerance(self):
         # The step is never refined: the sum at step 1/4 and its every-other-

@@ -234,22 +234,50 @@ class TestErlangLogSfInverse:
         calls = self._count_kernel_calls(monkeypatch)
         level = log1mexp(np.random.default_rng(4).standard_exponential(2000) / 4.0)
         erlang_log_sf_inverse(3, level)
-        assert len(calls) <= 3
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 10, 40, 41, 1000, 10**6])
     def test_kernel_calls_over_every_level(self, monkeypatch, m):
         # Deterministic counts, so a slower search fails here, from the log
-        # of the smallest normal double, subnormal levels included, up to 0,
-        # and far past it: 1 at m = 1, whose start is exact, 3 from the
-        # closed-form bounds at m = 2-4 and 2 from Temme's start at m >= 5
-        most = 1 if m == 1 else 3 if m < 5 else 2
+        # of the smallest normal double, subnormal levels included, up to 0:
+        # 1 at m = 1, whose start is exact, 2 from Temme's start at m = 2-10
+        # and 1 from m = 20 on, where the start is inside the last step's
+        # tolerance.  Far past it, where the start is NaN and the search
+        # starts from the proved lower end, 1 up to m = 41 and 2 above.
         calls = self._count_kernel_calls(monkeypatch)
         normal = -np.geomspace(special._TINY, -math.log(special._TINY), 400)
         erlang_log_sf_inverse(m, np.concatenate([[-5e-324, -1e-310], normal]))
-        assert len(calls) <= most
+        assert len(calls) == (1 if m == 1 or m >= 20 else 2)
         calls.clear()
         erlang_log_sf_inverse(m, -np.geomspace(1e15, 1.797e308, 40))
-        assert len(calls) <= min(most, 2)
+        assert len(calls) == (1 if m <= 41 else 2)
+
+    def test_a_nan_start_searches_from_the_proved_lower_end(self, monkeypatch):
+        # Past -1e122 Temme's start is NaN: the block asks for the ends of
+        # every level at once, and those levels are first evaluated at
+        # below_crossing, the others at their start
+        m = 41
+        level = np.array([-1e-3, -5.0, -1e200, -1.797e308])
+        asked, points = [], []
+        below, hazard = special.below_crossing, special._log_cumulative_hazard
+
+        def ends(m, level):
+            asked.append(level.size)
+            return below(m, level)
+
+        def evaluated(m, u, level):
+            points.append(u.copy())
+            return hazard(m, u, level)
+
+        monkeypatch.setattr(special, "below_crossing", ends)
+        monkeypatch.setattr(special, "_log_cumulative_hazard", evaluated)
+        x = erlang_log_sf_inverse(m, level)
+        assert asked == [4]
+        start = special._temme_start(m, level)
+        assert np.isnan(start[2:]).all()
+        np.testing.assert_array_equal(points[0][:2], start[:2])
+        np.testing.assert_array_equal(points[0][2:], np.log(below(m, level[2:])))
+        np.testing.assert_allclose(erlang_log_sf(m, x), level, rtol=1e-12)
 
     def test_log1mexp(self):
         a = np.array([0.0, 1e-300, 1e-10, math.log(2.0), 1.0, 40.0, 800.0])
@@ -274,12 +302,21 @@ class TestErlangLogSfInverse:
             x = below_crossing(m, level)
         assert (erlang_log_sf(m, x) > level).all()
 
-    @pytest.mark.parametrize("m, bound", [(5, 4.1e-3), (10, 1.1e-3), (1000, 2e-8)])
+    # The ids are fixed names, so that a case keeps its name when its bound
+    # is tightened.
+    @pytest.mark.parametrize(
+        "m, bound",
+        [pytest.param(m, bound, id=name) for m, bound, name in (
+            (2, 2.1e-3, "2-0.0021"), (5, 1.5e-4, "5-0.0041"), (10, 2.0e-5, "10-0.0011"),
+            (20, 2.5e-6, "20-2.5e-06"), (1000, 2e-8, "1000-2e-08"),
+        )],
+    )
     def test_temme_start_error(self, m, bound):
         # In ln x against the solved root, over every normal level; the
-        # first-order inversion's error falls like a power of 1/m
+        # second-order inversion's error falls like 1/m^3 below m = 200, the
+        # first order's like 1/m^2 above it
         level = -np.geomspace(special._TINY, -math.log(special._TINY), 400)
-        start = special._temme_start(m, level, log1mexp(-level))
+        start = special._temme_start(m, level)
         err = np.abs(start - np.log(erlang_log_sf_inverse(m, level)))
         assert err.max() <= bound, err.max()
 
@@ -290,7 +327,7 @@ class TestErlangLogSfInverse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             level = np.array([-1e200, -1.797e308])
-            start = special._temme_start(41, level, log1mexp(-level))
+            start = special._temme_start(41, level)
         assert np.isnan(start).all()
 
     @pytest.mark.parametrize("m", [1, 2, 40, 41, 1000, 10**6])
@@ -496,21 +533,15 @@ class TestErlangLogSfInverseAccuracy:
         assert worst <= bound, worst
 
 
-def _temme_coefficients(mp, rows, cols):
-    """d[k][n] of Temme's c_k(eta) = sum_n d[k][n] eta^n, from DLMF 8.12.12:
+def _product(mp, a, b):
+    """The first len(a) coefficients of the product of two power series."""
+    return [mp.fsum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
 
-        d[0][0] = -1/3,  d[0][n] = (n + 2) alpha[n + 2],
-        d[k][n] = (-1)^k g[k] d[0][n] + (n + 2) d[k-1][n + 2],
 
-    where lam - 1 = sum_n alpha[n] eta^n inverts eta^2/2 = lam - 1 - ln lam
-    and g[k] are the coefficients of Stirling's series Gamma*(a) = sum
-    g[k] a^-k.  Power series are carried at the working precision of mp.
-    """
-    size = cols + 2 * rows + 2
-
-    def mul(a, b):
-        return [mp.fsum(a[i] * b[k - i] for i in range(k + 1)) for k in range(size)]
-
+def _lam_series(mp, size):
+    """alpha[0..size-1] of lam - 1 = sum_n alpha[n] eta^n, which inverts
+    eta^2/2 = lam - 1 - ln lam with sign(eta) = sign(lam - 1), at the
+    working precision of mp."""
     # eta / mu = sqrt(2 (mu - log1p(mu)) / mu^2) = sqrt(sum_j 2 (-mu)^j / (j + 2))
     inner = [2 * mp.mpf(-1) ** j / (j + 2) for j in range(size)]
     ratio = [mp.mpf(1)] + [mp.mpf(0)] * (size - 1)
@@ -524,8 +555,23 @@ def _temme_coefficients(mp, rows, cols):
     alpha = [mp.mpf(0)] * size
     power = [mp.mpf(1)] + [mp.mpf(0)] * (size - 1)
     for k in range(1, size):
-        power = mul(power, inverse)
+        power = _product(mp, power, inverse)
         alpha[k] = power[k - 1] / k
+    return alpha
+
+
+def _temme_coefficients(mp, rows, cols):
+    """d[k][n] of Temme's c_k(eta) = sum_n d[k][n] eta^n, from DLMF 8.12.12:
+
+        d[0][0] = -1/3,  d[0][n] = (n + 2) alpha[n + 2],
+        d[k][n] = (-1)^k g[k] d[0][n] + (n + 2) d[k-1][n + 2],
+
+    where lam - 1 = sum_n alpha[n] eta^n inverts eta^2/2 = lam - 1 - ln lam
+    and g[k] are the coefficients of Stirling's series Gamma*(a) = sum
+    g[k] a^-k.  Power series are carried at the working precision of mp.
+    """
+    size = cols + 2 * rows + 2
+    alpha = _lam_series(mp, size)
     # ln Gamma*(a) = sum_j B_2j / (2j (2j - 1) a^(2j - 1)), exponentiated
     log_g = [mp.mpf(0)] * rows
     for j in range(1, rows):
@@ -543,6 +589,43 @@ def _temme_coefficients(mp, rows, cols):
     return [row[:cols] for row in d]
 
 
+def _inversion_series(mp, terms):
+    """The first ``terms`` Taylor coefficients in eta of eps1, (ln f)' and
+    eps2 of Temme's inversion eta = eta0 + eps1 / m + eps2 / m^2 (see
+    ``special._temme_start``), from f = eta / (lam - 1) = 1 / A(eta),
+    A = sum_n alpha[n + 1] eta^n: ln A by (ln A)' = A' / A, eps1 = ln f /
+    eta, (ln f)' = (eta eps1)', and eps2 = (eps1 (ln f)' - eps1^2 / 2 +
+    eps1' - 1/12) / eta, whose numerator vanishes at eta = 0."""
+    size = terms + 3
+    a = _lam_series(mp, size + 1)[1:]
+    log_a = [mp.mpf(0)] * size
+    for k in range(1, size):
+        log_a[k] = (k * a[k] - mp.fsum(i * log_a[i] * a[k - i] for i in range(1, k))) / k
+    eps1 = [-c for c in log_a[1:]]
+    slope = [(n + 1) * c for n, c in enumerate(eps1)]
+    d_eps1 = [n * c for n, c in enumerate(eps1)][1:]
+    product, square = _product(mp, eps1, slope), _product(mp, eps1, eps1)
+    numerator = [product[k] - square[k] / 2 + d_eps1[k] for k in range(len(d_eps1))]
+    numerator[0] -= mp.mpf(1) / 12
+    assert abs(numerator[0]) < mp.mpf(10) ** (5 - mp.mp.dps)
+    return eps1[:terms], slope[:terms], numerator[1 : terms + 1]
+
+
+def _inversion_terms(mp, eta):
+    """(eps1, (ln f)', eps2) at eta from their closed forms, with lam
+    solved at the working precision of mp."""
+    t = eta * eta / 2
+    if abs(eta) < 1:
+        guess = 1 + eta + eta**2 / 3
+    else:
+        guess = 1 + t + mp.log(1 + t) if eta > 0 else mp.exp(-1 - t)
+    lam = mp.findroot(lambda lam: lam - 1 - mp.log(lam) - t, guess)
+    eps1 = mp.log(eta / (lam - 1)) / eta
+    slope = 1 / eta - eta * lam / (lam - 1) ** 2
+    eps2 = ((eps1 + 1 / eta) * slope - eps1 * (1 / eta + eps1 / 2) - 1 / mp.mpf(12)) / eta
+    return eps1, slope, eps2
+
+
 class TestTemmeCoefficients:
     def test_every_constant_matches_mpmath(self, mp):
         table = special._TEMME_D
@@ -556,3 +639,41 @@ class TestTemmeCoefficients:
         # c_0(0) = -1/3 and c_1(0) = -1/540 (DLMF 8.12.9-8.12.10)
         assert special._TEMME_D[0][:2] == (-1.0 / 3.0, 1.0 / 12.0)
         assert special._TEMME_D[1][0] == pytest.approx(-1.0 / 540.0, rel=1e-15)
+
+    def test_inversion_series_match_mpmath(self, mp):
+        table = special._TEMME_SERIES[:, :, 0]  # a column per series
+        with mp.workdps(50):
+            want = _inversion_series(mp, len(table))
+        for j, series in enumerate(want):
+            for n, coefficient in enumerate(series):
+                got = table[n, j]
+                assert abs(got - coefficient) <= 1e-15 * abs(coefficient), (j, n)
+
+    def test_known_inversion_terms(self):
+        # eps1 and eps2 as Temme (Math. Comp. 58, 1992) gives them
+        eps1 = (-1 / 3, 1 / 36, 1 / 1620, -7 / 6480, 5 / 18144)
+        eps2 = (-7 / 405, -7 / 2592, 533 / 204120, -1579 / 2099520)
+        np.testing.assert_allclose(special._TEMME_SERIES[:5, 0, 0], eps1, rtol=1e-15)
+        np.testing.assert_allclose(special._TEMME_SERIES[:4, 2, 0], eps2, rtol=1e-15)
+
+    def test_closed_forms_and_series_agree_across_the_switch(self, mp):
+        # The series just inside |eta0| = 0.15 and the closed forms at and
+        # past it, against the closed forms at 50 digits: the series'
+        # truncation and the closed forms' cancellation meet at the switch
+        switch = special._TEMME_SERIES_BELOW
+        inside = np.nextafter(switch, 0.0)
+        magnitudes = [1e-8, 0.01, 0.1, inside, switch, 0.2, 0.5, 1.0, 3.0]
+        eta0 = np.array([sign * x for sign in (-1.0, 1.0) for x in magnitudes])
+        e0 = np.expm1(special._log_lam(eta0))
+        got = np.array(special._temme_terms(eta0, e0, True))
+        with mp.workdps(50):
+            want = np.array(
+                [[float(v) for v in _inversion_terms(mp, mp.mpf(x))] for x in eta0.tolist()]
+            ).T
+        error = np.abs(got - want)
+        assert error.max() <= 3e-8, error.max()
+        # away from the switch, and before _log_lam's own error grows past
+        # |eta0| = 2, both keep nearly every digit
+        size = np.abs(eta0)
+        clear = (size <= 0.01) | ((size >= 0.2) & (size <= 1.0))
+        assert error[:, clear].max() <= 1e-12, error[:, clear].max()
