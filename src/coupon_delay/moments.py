@@ -101,17 +101,6 @@ class MomentResult:
 # quadrature core
 
 
-def _quantiles(ps: ProblemSize, y: np.ndarray, nodes: list) -> np.ndarray:
-    """Q(y), the Delta at Gumbel point y, for a grid y that starts like the
-    one whose values ``nodes[0]`` holds: only the points past those are
-    computed, by one call of the sampler's map at E = e^-y, and kept."""
-    q = nodes[0]
-    if len(q) < len(y):
-        new = delta_from_exponential(ps.m, ps.n, np.exp(-y[len(q) :]))
-        q = nodes[0] = np.concatenate([q, new])
-    return q[: len(y)]
-
-
 def _trapezoid(values: np.ndarray, h: float, rel_tol: float):
     """(Int f(y) dy, error estimate) by the trapezoid rule, from the values
     of f at nodes of step h, where f must be negligible at both ends.
@@ -137,67 +126,63 @@ def _trapezoid(values: np.ndarray, h: float, rel_tol: float):
 
 
 def delta_power_moment(
-    ps: ProblemSize,
-    s: float,
-    cfg: Optional[QuadratureConfig] = None,
-    *,
-    nodes: Optional[list] = None,
-) -> MomentResult:
-    """E[Delta^s] = s n^s Int_0^inf [1 - F_m(t)^n] t^{s-1} dt, s > 0, computed
-    as Int Q(y)^s exp(-y - e^-y) dy over the Gumbel variable y.
+    ps: ProblemSize, exponents, cfg: Optional[QuadratureConfig] = None
+) -> list[MomentResult]:
+    """E[Delta^s] = s n^s Int_0^inf [1 - F_m(t)^n] t^{s-1} dt for each s > 0
+    in ``exponents``, in the order given, computed as
+    Int Q(y)^s exp(-y - e^-y) dy over the Gumbel variable y.
 
-    The grid has step 1/4 on y in [-4, 40 + 3 s]: below -4 the Gumbel weight
-    is under e^-50, and at the top Q^s e^-y has fallen below 1e-16 of the
-    moment (Q grows like n y there), under the rounding floor.  Q(y) is
+    The grid of s has step 1/4 on y in [-4, 40 + 3 s]: below -4 the Gumbel
+    weight is under e^-50, and at the top Q^s e^-y has fallen below 1e-16 of
+    the moment (Q grows like n y there), under the rounding floor.  Q(y) is
     singular at distance pi/2 from the real axis, so the rule's error at
-    step 1/4 is near e^(-pi^2 / (1/4)) = 7e-18.  ``nodes``, a one-item list
-    shared by calls on the same ps, lets several exponents share their
-    quantiles (see ``rising_moments``); without it the call computes its
-    own.  An order whose moment must overflow raises NumericError at once.
+    step 1/4 is near e^(-pi^2 / (1/4)) = 7e-18.  The quantiles are computed
+    once, on the largest exponent's grid, and every exponent sums over its
+    own prefix of it, so each result equals that of a call on its exponent
+    alone.  Every exponent is checked first: one that is not a positive real
+    raises ValueError, and one whose moment must overflow NumericError,
+    before any node is computed.
     """
-    if not is_positive_real(s):
-        raise ValueError(f"moment exponent must be a positive real, got {s!r}")
     cfg = cfg or QuadratureConfig()
-    s = float(s)
-    # Delta >= n Gamma(m, 1) >= Exp(1) stochastically, so E[Delta^s] >=
-    # Gamma(s + 1); for s >= 1 Jensen adds E[Delta^s] >= E[D]^s >= (m n)^s
-    jensen = s * math.log(ps.m * ps.n) if s >= 1.0 else 0.0
-    if max(math.lgamma(s + 1.0), jensen) > _LOG_MAX:
-        raise NumericError(f"moment of order {s} exceeds the largest double")
-    y = _Y_LO + _STEP * np.arange(int((40.0 + 3.0 * s - _Y_LO) / _STEP) + 1)
-    q = _quantiles(ps, y, [np.empty(0)] if nodes is None else nodes)
+    grids = []  # (s, nodes in its grid)
+    for s in exponents:
+        if not is_positive_real(s):
+            raise ValueError(f"moment exponent must be a positive real, got {s!r}")
+        s = float(s)
+        # Delta >= n Gamma(m, 1) >= Exp(1) stochastically, so E[Delta^s] >=
+        # Gamma(s + 1); for s >= 1 Jensen adds E[Delta^s] >= E[D]^s >= (m n)^s
+        jensen = s * math.log(ps.m * ps.n) if s >= 1.0 else 0.0
+        if max(math.lgamma(s + 1.0), jensen) > _LOG_MAX:
+            raise NumericError(f"moment of order {s} exceeds the largest double")
+        grids.append((s, int((40.0 + 3.0 * s - _Y_LO) / _STEP) + 1))
+    if not grids:
+        return []
+    y = _Y_LO + _STEP * np.arange(max(k for _, k in grids))
+    e = np.exp(-y)
+    log_q = np.log(delta_from_exponential(ps.m, ps.n, e))
     # Q^s times the Gumbel weight exp(-y - e^-y), as one exponential: Q^s
     # alone overflows at the grid's far end for orders past 118 at (1, 1)
-    value, abs_err = _trapezoid(
-        np.exp(s * np.log(q) - y - np.exp(-y)), _STEP, cfg.rel_tol
-    )
-    return MomentResult(value=value, abs_err=abs_err, method=METHOD_QUADRATURE)
+    return [
+        MomentResult(
+            *_trapezoid(np.exp(s * log_q[:k] - y[:k] - e[:k]), _STEP, cfg.rel_tol),
+            method=METHOD_QUADRATURE,
+        )
+        for s, k in grids
+    ]
 
 
 def rising_moments(
     ps: ProblemSize, orders, cfg: Optional[QuadratureConfig] = None
 ) -> list[MomentResult]:
     """E[D (D+1) ... (D+r-1)] = E[Delta^r] for each r in ``orders``, in the
-    order given.
-
-    Every order integrates against the same quantiles Q(y), on a prefix of
-    the grid of the largest order, so the orders are computed from the
-    largest down and each later one reuses the nodes already found.  Results
-    equal those of separate ``delta_power_moment`` calls exactly.
-    """
+    order given, by one ``delta_power_moment`` call."""
     orders = [check_count(r, "rising-moment order") for r in orders]
-    cfg = cfg or QuadratureConfig()
-    nodes = [np.empty(0)]
-    results = {
-        r: delta_power_moment(ps, float(r), cfg, nodes=nodes)
-        for r in sorted(set(orders), reverse=True)
-    }
-    return [results[r] for r in orders]
+    return delta_power_moment(ps, orders, cfg)
 
 
 def mean_delay(ps: ProblemSize, cfg: Optional[QuadratureConfig] = None) -> MomentResult:
     """E[D] = E[Delta] = n Int_0^inf [1 - F_m(t)^n] dt."""
-    return delta_power_moment(ps, 1.0, cfg)
+    return delta_power_moment(ps, [1], cfg)[0]
 
 
 def variance_delay(
@@ -209,7 +194,7 @@ def variance_delay(
     delay's.  Cancellation is reflected in abs_err; a result negative
     beyond the error budget raises NumericError.
     """
-    first, second = rising_moments(ps, [1, 2], cfg)
+    first, second = delta_power_moment(ps, [1, 2], cfg)
     value = second.value - first.value**2 - first.value
     abs_err = second.abs_err + (2.0 * first.value + 1.0) * first.abs_err
     if value < -(4.0 * abs_err + 1e-12 * second.value):
@@ -296,11 +281,11 @@ def mgf_delta(
     y0 = y_peak - h * math.ceil((y_peak - left) / h)
     y_sat = -math.log(_TINY) - math.log(n)
     reach = 2.0 * width + _MGF_TAIL / (1.0 - n * z)
-    nodes = [np.empty(0)]
+    q = np.empty(0)
     while True:
         end = min(y_peak + reach, y_sat)
         y = y0 + h * np.arange(math.ceil((end - y0) / h) + 1)
-        q = _quantiles(ps, y, nodes)
+        q = np.concatenate([q, delta_from_exponential(m, n, np.exp(-y[len(q) :]))])
         if z * q[-1] - y[-1] - math.exp(-y[-1]) < top - _MGF_TAIL:
             break
         if end == y_sat:

@@ -214,11 +214,10 @@ def sample_poissonized(config: SimConfig) -> SampleBatch:
     F_m(Delta/n)^n = e^-E, exact to the accuracy of ``erlang_log_sf``.  Each
     replication costs O(1) time and memory at every (m, n), n = 1e12
     included: one generator reset, its share of a bulk key derivation, one
-    draw, and its share of an ``erlang_log_sf_inverse`` call, 1 or 2 kernel
-    calls on 256 replications (2 at m = 2-4, 1 at m = 1 and from m = 17
-    on).  The values
-    differ from the Delta column of ``sample_coupled`` at the same seed; only
-    the laws agree.
+    draw, and its share of an ``erlang_log_sf_inverse`` call on 256
+    replications, whose kernel calls that function's docstring states.  The
+    values differ from the Delta column of ``sample_coupled`` at the same
+    seed; only the laws agree.
     """
     return _sample(config, MODE_POISSONIZED)
 

@@ -10,9 +10,9 @@ solves a block of 256 levels at once) and is accurate to a relative 1e-12
 against mpmath at every shape; see its docstring.  The inverse takes Halley
 steps on the log of the cumulative hazard from Temme's asymptotic inversion,
 with proved closed-form bounds as the bracket of the levels the start leaves
-undone: 1 or 2 kernel calls per block (2 at m = 2-4, 1 at m = 1 and from
-m = 17 on), through ``halley``, the package's one root-finder, which also
-solves for the critical-regime alpha on Python floats.
+undone (its docstring states the kernel calls per block), through
+``halley``, the package's one root-finder, which also solves for the
+critical-regime alpha on Python floats.
 """
 
 from __future__ import annotations
@@ -622,9 +622,9 @@ _FAR_HAZARD = 2.0**22
 # is cubic (Traub 1964), about K step^3 with K near m at the mode, so the
 # tolerance _INVERSE_STEP (1e6 / m)^(1/3), 1e-5 at m = 1, keeps that error
 # near 1e-15 at every shape.  Temme's second-order start is within about
-# 0.018 / m^3 in ln x up to m = 20, inside that tolerance from m = 17 on,
-# and its first order within 0.034 / m^2 from m = _FIRST_ORDER_FROM: one
-# kernel call per block.
+# 0.018 / m^3 in ln x up to m = 20, and its first order within 0.034 / m^2
+# from m = _FIRST_ORDER_FROM: where that is inside the tolerance, a block
+# takes one kernel call (erlang_log_sf_inverse states the counts).
 _INVERSE_STEP = 1e-7
 
 
@@ -714,7 +714,7 @@ def delta_from_exponential(m: int, n: int, e: np.ndarray) -> np.ndarray:
     level = np.maximum(log1mexp(e / n), _LOG_TINY)
     blocks = range(0, len(level), _INVERSE_BLOCK)
     x = [erlang_log_sf_inverse(m, level[i : i + _INVERSE_BLOCK]) for i in blocks]
-    return n * np.concatenate(x)
+    return n * np.concatenate(x) if x else np.empty(0)
 
 
 def tricomi_log_sf(m: int, x: float) -> float:

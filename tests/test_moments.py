@@ -67,27 +67,27 @@ class TestQuadratureConfig:
 
 class TestDeltaPowerMoment:
     def test_exponential_second_moment(self):
-        assert delta_power_moment(ProblemSize(1, 1), 2.0).value == pytest.approx(
+        assert delta_power_moment(ProblemSize(1, 1), [2.0])[0].value == pytest.approx(
             2.0, rel=1e-9
         )
 
     def test_two_coupon_mean(self):
-        assert delta_power_moment(ProblemSize(1, 2), 1.0).value == pytest.approx(
+        assert delta_power_moment(ProblemSize(1, 2), [1.0])[0].value == pytest.approx(
             3.0, rel=1e-9
         )
 
     def test_matches_absorbing_chain(self):
-        quad = delta_power_moment(ProblemSize(2, 2), 1.0).value
+        quad = delta_power_moment(ProblemSize(2, 2), [1.0])[0].value
         oracle = exact_mean_small(ProblemSize(2, 2)).value
         assert quad == pytest.approx(oracle, rel=1e-9)
 
     def test_noninteger_exponent_matches_extended_precision_quadrature(self):
         # frozen 40-digit direct quadrature of the defining integral
-        got = delta_power_moment(ProblemSize(2, 3), 1.5)
+        got = delta_power_moment(ProblemSize(2, 3), [1.5])[0]
         assert got.value == pytest.approx(32.252432639096923182, rel=1e-8)
 
     def test_fractional_exponent_below_one(self):
-        got = delta_power_moment(ProblemSize(2, 3), 0.5)
+        got = delta_power_moment(ProblemSize(2, 3), [0.5])[0]
         assert got.value == pytest.approx(3.0250489078690536449, rel=1e-8)
 
     def test_error_estimate_is_honest(self):
@@ -96,19 +96,25 @@ class TestDeltaPowerMoment:
             10 * res.abs_err, 1e-9 * res.value
         )
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            delta_power_moment(ProblemSize(1, 2), 0.0)
-        with pytest.raises(ValueError):
-            delta_power_moment(ProblemSize(1, 2), -1.0)
-        with pytest.raises(ValueError):
-            delta_power_moment(ProblemSize(1, 2), True)
+    def test_domain_error(self, monkeypatch):
+        # every exponent is checked before any quantile is computed, and no
+        # exponent computes none
+        calls = []
+        monkeypatch.setattr(moments, "delta_from_exponential", lambda *a: calls.append(a))
+        ps = ProblemSize(1, 2)
+        for bad in (0.0, -1.0, True, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                delta_power_moment(ps, [bad])
+            with pytest.raises(ValueError):
+                delta_power_moment(ps, [1.5, bad])
+        assert delta_power_moment(ps, []) == []
+        assert calls == []
 
     def test_accepts_numpy_reals(self):
         ps = ProblemSize(2, 3)
-        expect = delta_power_moment(ps, 2.0)
-        assert delta_power_moment(ps, np.int64(2)) == expect
-        assert delta_power_moment(ps, np.float64(2.0)) == expect
+        expect = delta_power_moment(ps, [2.0])
+        assert delta_power_moment(ps, [np.int64(2)]) == expect
+        assert delta_power_moment(ps, [np.float64(2.0)]) == expect
 
     def test_method_tag(self):
         assert mean_delay(ProblemSize(1, 2)).method == "quadrature"
@@ -177,32 +183,35 @@ class TestRisingMoments:
             (5, 1000, [1, 2, 3]),
             (10**6, 10, [1, 2, 3]),
             (2, 3, [3, 1, 2, 1]),
+            (3, 10, [2.5, 0.5, 1.0, 7.25, 0.5]),
         ],
     )
     def test_equals_separate_orders_exactly(self, m, n, orders):
         ps = ProblemSize(m, n)
-        shared = rising_moments(ps, orders)
-        separate = [rising_moments(ps, [r])[0] for r in orders]
+        integer = all(isinstance(r, int) for r in orders)
+        moment = rising_moments if integer else delta_power_moment
+        shared = moment(ps, orders)
+        separate = [moment(ps, [r])[0] for r in orders]
         assert [(x.value, x.abs_err) for x in shared] == [
             (x.value, x.abs_err) for x in separate
         ]
 
     def test_shares_kernel_evaluations(self, monkeypatch):
-        # Counts quantile nodes: orders 1 and 2 use a prefix of order 3's
-        nodes = 0
+        # One quantile call per moment call, on the largest exponent's grid
+        # of int(4 (44 + 3 s)) + 1 nodes: 213 at s = 3, 207 at s = 2.5
+        sizes = []
         quantiles = moments.delta_from_exponential
 
         def counted(m, n, e):
-            nonlocal nodes
-            nodes += np.size(e)
+            sizes.append(np.size(e))
             return quantiles(m, n, e)
 
         monkeypatch.setattr(moments, "delta_from_exponential", counted)
         ps = ProblemSize(5, 1000)
         rising_moments(ps, [3])
-        alone, nodes = nodes, 0
         rising_moments(ps, [1, 2, 3])
-        assert 0 < nodes <= alone
+        delta_power_moment(ps, [2.5, 0.5, 1.0])
+        assert sizes == [213, 213, 207]
 
     @pytest.mark.parametrize("m, n", [(10**5, 100), (3 * 10**4, 10**3), (2000, 10**5)])
     def test_large_shape_mean_against_mpmath(self, m, n):
@@ -267,11 +276,13 @@ class TestRisingMoments:
     @pytest.mark.parametrize("m, n, r", [(1, 1, 171), (1000, 1000, 60)])
     def test_overflowing_order_computes_no_quantile(self, monkeypatch, m, n, r):
         # E[Delta^r] >= Gamma(r + 1) (at (1, 1)) and >= (m n)^r (at (1e3, 1e3))
-        # pass the largest double here, so the order fails before its grid
+        # pass the largest double here, so the order fails before any grid,
+        # also after a valid one
         calls = []
         monkeypatch.setattr(moments, "delta_from_exponential", lambda *a: calls.append(a))
-        with pytest.raises(NumericError, match="exceeds the largest double"):
-            rising_moments(ProblemSize(m, n), [r])
+        for orders in ([r], [1, r]):
+            with pytest.raises(NumericError, match="exceeds the largest double"):
+                rising_moments(ProblemSize(m, n), orders)
         assert calls == []
 
 

@@ -221,6 +221,8 @@ class TestDeltaInversion:
         delta = delta_from_exponential(3, 10, np.array([0.0, 5e-324, 1e-300]))
         assert np.isfinite(delta).all()
         assert delta[0] == delta[1] >= delta[2] > 0.0
+        empty = delta_from_exponential(3, 10, np.empty(0))
+        assert empty.shape == (0,) and empty.dtype == np.float64
 
     def test_replication_does_not_depend_on_the_batch(self):
         full = sample_poissonized(_config(20, 22026, 300, 47, MODE_POISSONIZED))

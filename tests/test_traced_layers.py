@@ -52,3 +52,5 @@ def test_every_cli_layer_records_spans(tmp_path, capsys):
     summary, _ = tracer.summary()
     dark = [name for name, row in summary.items() if row["calls"] == 0]
     assert dark == ["moments.mgf_delta"]
+    # the one moments command computes its two orders in one call
+    assert summary["moments.delta_power_moment"]["calls"] == 1
