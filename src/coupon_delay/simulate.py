@@ -1,10 +1,14 @@
 """Monte Carlo sampling of the delay and goodness-of-fit statistics.
 
-Replication i always draws from the Philox stream of SeedSequence(seed,
-spawn_key=(i, 0)), so a batch is a pure function of its configuration and
-bit-identical however replications are chunked across workers.  The keys are
-derived in bulk and each worker resets one generator per replication.  The
-env var COUPON_DELAY_THREADS sets the worker count (default 1, at most 64).
+Every draw comes from a counter-based Philox stream keyed by
+SeedSequence(seed, spawn_key=(k, 0)).  In the D modes stream k is
+replication k's.  In poissonized mode stream b is block b's, the
+replications b * 256 .. b * 256 + 255: replication i is the (i mod 256)-th
+standard exponential of stream i // 256.  So a batch is a pure function of
+its configuration, its prefixes do not depend on ``reps``, and it is
+bit-identical however the streams are chunked across workers.  The keys are
+derived in bulk and each worker resets one generator per stream.  The env
+var COUPON_DELAY_THREADS sets the worker count (default 1, at most 64).
 """
 
 from __future__ import annotations
@@ -92,6 +96,11 @@ _HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32 for k in range(29)]
 _HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 2**32) & _M32 for k in range(5)]
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _KEY_BLOCK = 4096  # temporaries stay below glibc's 128 KiB mmap threshold
+# Replications per poissonized stream.  It fixes which draw each replication
+# takes, so changing it changes every poissonized sample; the inverse's own
+# block, special._INVERSE_BLOCK, is a memory setting and may change freely.
+_STREAM_BLOCK = 256
+_CSV_ROWS = 4096  # rows formatted per write: export memory is bounded
 
 
 def _hashmix(value, consts, k):
@@ -128,11 +137,12 @@ def _stream_keys(seed: int, start: int, count: int) -> np.ndarray:
     return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
 
 
-def _run_reps(worker, seed: int, reps: int) -> list:
-    """Evaluate worker(rng) for rep = 0..reps-1, gathered in order, with rng
-    reset to the start of replication rep's stream before each call: one
-    Generator per chunk, its Philox given the rep's key, counter 0 and an
-    empty buffer through the public state setter."""
+def _run_reps(worker, seed: int, count: int) -> list:
+    """Evaluate worker(rng, k) for stream k = 0..count-1, gathered in order,
+    with rng reset to the start of stream k before each call: one Generator
+    per chunk, its Philox given stream k's key, counter 0 and an empty
+    buffer through the public state setter.  Workers split the streams into
+    contiguous chunks, so a stream is never shared by two of them."""
 
     def chunk(first, last):
         rng = np.random.Generator(np.random.Philox(0))
@@ -140,19 +150,20 @@ def _run_reps(worker, seed: int, reps: int) -> list:
                  "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         out = []
         for a in range(first, last, _KEY_BLOCK):
-            for key in _stream_keys(seed, a, min(_KEY_BLOCK, last - a)).tolist():
+            keys = _stream_keys(seed, a, min(_KEY_BLOCK, last - a)).tolist()
+            for k, key in enumerate(keys, start=a):
                 state["state"]["key"] = key
                 rng.bit_generator.state = state
-                out.append(worker(rng))
+                out.append(worker(rng, k))
         return out
 
-    threads = _worker_count()
-    if threads == 1 or reps < 2 * threads:
-        return chunk(0, reps)
+    threads = min(_worker_count(), count)
+    if threads == 1:
+        return chunk(0, count)
     # Imported here: single-threaded runs, the default, never need it.
     from concurrent.futures import ThreadPoolExecutor
 
-    bounds = np.linspace(0, reps, threads + 1, dtype=int).tolist()
+    bounds = np.linspace(0, count, threads + 1, dtype=int).tolist()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(chunk, bounds[:-1], bounds[1:]))
     return [item for part in parts for item in part]
@@ -167,20 +178,26 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
     x, independent of every G, so D = m n + Poisson(sum_j (x - G_j)) and the
     pair (D, Delta) has the exact coupled law, at O(n) time and memory per
     replication.  Delta alone needs no G_j: poissonized mode draws one
-    standard exponential per replication and inverts P{Delta <= x} =
-    F_m(x/n)^n at it, in O(1).
+    standard exponential per replication, a block of _STREAM_BLOCK from
+    each stream, and inverts P{Delta <= x} = F_m(x/n)^n at them, in O(1).
     """
     if config.mode != mode:
         raise ValueError(f"sample_{mode} requires mode={mode!r}")
-    m, n = config.ps.m, config.ps.n
+    m, n, reps = config.ps.m, config.ps.n, config.reps
     if mode == MODE_POISSONIZED:
-        draw = lambda rng: rng.standard_exponential()
-        e = np.array(_run_reps(draw, config.seed, config.reps))
-        return SampleBatch(config=config, delta_values=delta_from_exponential(m, n, e))
+        delta = np.empty(reps)
+
+        def block(rng: np.random.Generator, b: int) -> None:
+            first = b * _STREAM_BLOCK
+            e = rng.standard_exponential(min(_STREAM_BLOCK, reps - first))
+            delta[first : first + len(e)] = delta_from_exponential(m, n, e)
+
+        _run_reps(block, config.seed, -(-reps // _STREAM_BLOCK))
+        return SampleBatch(config=config, delta_values=delta)
 
     keep_delta = mode == MODE_COUPLED
 
-    def worker(rng: np.random.Generator) -> tuple[int, float]:
+    def worker(rng: np.random.Generator, rep: int) -> tuple[int, float]:
         try:
             g = rng.standard_gamma(m, size=n)
         except MemoryError:
@@ -192,7 +209,7 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
         x = np.maximum.reduce(g)
         return m * n + int(rng.poisson(np.add.reduce(x - g))), float(n * x)
 
-    d, delta = zip(*_run_reps(worker, config.seed, config.reps))
+    d, delta = zip(*_run_reps(worker, config.seed, reps))
     return SampleBatch(
         config=config,
         d_values=np.array(d, dtype=np.int64),
@@ -210,14 +227,15 @@ def sample_poissonized(config: SimConfig) -> SampleBatch:
     completion times, i.e. the largest of n Erlang(m, rate 1/n) variables.
 
     Its law is P{Delta <= x} = F_m(x/n)^n, so replication i takes one
-    standard exponential E from its stream and returns the Delta with
-    F_m(Delta/n)^n = e^-E, exact to the accuracy of ``erlang_log_sf``.  Each
-    replication costs O(1) time and memory at every (m, n), n = 1e12
-    included: one generator reset, its share of a bulk key derivation, one
-    draw, and its share of an ``erlang_log_sf_inverse`` call on 256
-    replications, whose kernel calls that function's docstring states.  The
-    values differ from the Delta column of ``sample_coupled`` at the same
-    seed; only the laws agree.
+    standard exponential E, the (i mod 256)-th of block i // 256's stream,
+    and returns the Delta with F_m(Delta/n)^n = e^-E, exact to the accuracy
+    of ``erlang_log_sf``.  Each block of 256 replications costs one
+    generator reset, one draw call and one ``erlang_log_sf_inverse`` call,
+    whose kernel calls that function's docstring states, so a replication
+    costs O(1) time at every (m, n), n = 1e12 included, and memory is the
+    8-byte result per replication plus one block's temporaries.  The values
+    differ from the Delta column of ``sample_coupled`` at the same seed; only
+    the laws agree.
     """
     return _sample(config, MODE_POISSONIZED)
 
@@ -273,14 +291,18 @@ def empirical_moments(values, r: int = 1) -> tuple[float, float]:
 
 def write_samples_csv(batch: SampleBatch, path) -> None:
     """Raw sample export: header row, one value (or d,delta pair) per line,
-    LF line endings."""
+    LF line endings, written _CSV_ROWS rows at a time."""
     columns = {}
     if batch.d_values is not None:
-        columns["d"] = map(str, batch.d_values.astype(np.int64).tolist())
+        columns["d"] = (batch.d_values, lambda v: map(str, v.astype(np.int64).tolist()))
     if batch.delta_values is not None:
-        columns["delta"] = [format(v, ".10g") for v in batch.delta_values.tolist()]
+        columns["delta"] = (batch.delta_values,
+                            lambda v: [format(x, ".10g") for x in v.tolist()])
     if not columns:
         raise ValueError("batch holds no samples")
-    lines = [",".join(columns), *map(",".join, zip(*columns.values()))]
+    rows = min(len(values) for values, _ in columns.values())
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, rows, _CSV_ROWS):
+            cells = [cell(values[lo : lo + _CSV_ROWS]) for values, cell in columns.values()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -453,7 +453,11 @@ def erlang_log_sf(m: int, x):
     else:
         out = np.empty_like(flat)
         for hit, kernel in _branches(m, flat):
-            if hit.any():
+            count = np.count_nonzero(hit)
+            if count == flat.size:  # one branch holds every element: no gather
+                out = kernel(m, flat)
+                break
+            if count:
                 out[hit] = kernel(m, flat[hit])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 

@@ -217,6 +217,30 @@ class TestSimulateCommand:
         assert not out_file.parent.exists()
         assert drawn == []
 
+    @pytest.mark.parametrize("reps", ["257", "1000"])
+    def test_poissonized_output_ignores_thread_count(self, capsys, tmp_path, monkeypatch, reps):
+        # workers split on 256-replication stream blocks, a partial one included
+        out_file = tmp_path / "delta.csv"
+        commands = [
+            ["simulate", "--m", "3", "--n", "100", "--reps", reps, "--seed", "61",
+             "--mode", "poissonized", "--out", str(out_file)],
+            ["limit-check", "--regime", "super", "--m", "300", "--n", "50",
+             "--reps", reps, "--seed", "61"],
+        ]
+        outputs = []
+        for threads in ["1", "2", "3"]:
+            monkeypatch.setenv("COUPON_DELAY_THREADS", threads)
+            records = []
+            for argv in commands:
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == 0
+                record = last_json(out)
+                record.pop("wall_time_ms")
+                records.append(record)
+            outputs.append((records, out_file.read_bytes()))
+        assert len(outputs[0][1].splitlines()) == int(reps) + 1
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_coupled_summary_mean(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,5 +1,7 @@
 import math
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,9 +139,11 @@ def _stream(seed, rep):
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _stream_exponentials(seed, reps):
-    """The standard exponential each replication of a poissonized batch draws."""
-    return np.array([_stream(seed, rep).standard_exponential() for rep in range(reps)])
+def _block_exponentials(seed, reps):
+    """The standard exponentials of a poissonized batch: block b's stream
+    draws 256, and replication i takes draw i mod 256 of block i // 256."""
+    blocks = range(-(-reps // 256))
+    return np.concatenate([_stream(seed, b).standard_exponential(256) for b in blocks])[:reps]
 
 
 class TestStreams:
@@ -173,15 +177,23 @@ class TestStreams:
         ],
     )
     def test_reset_generator_matches_a_fresh_one(self, monkeypatch, threads, draw):
-        def worker(rng):
+        def worker(rng, rep):
             values = draw(rng)
             rng.integers(0, 7, dtype=np.uint32)  # leaves half a word buffered
-            return values
+            return rep, values
 
         monkeypatch.setenv("COUPON_DELAY_THREADS", threads)
         got = simulate._run_reps(worker, 2**64 - 1, 5)
-        for rep, values in enumerate(got):
+        for rep, (index, values) in enumerate(got):
+            assert index == rep
             assert np.array_equal(values, draw(_stream(2**64 - 1, rep)))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_stream_index_across_key_blocks(self, monkeypatch, threads):
+        # a chunk of more than 4096 streams derives its keys in two passes
+        monkeypatch.setenv("COUPON_DELAY_THREADS", threads)
+        got = simulate._run_reps(lambda rng, k: k, 3, 3 * 4096 + 5)
+        assert got == list(range(3 * 4096 + 5))
 
 
 class TestDeltaInversion:
@@ -190,7 +202,7 @@ class TestDeltaInversion:
         # m = 1: sf(x) = e^-x, so Delta = -n ln(1 - e^(-E/n)), where
         # 1 - e^(-E/n) is formed without cancellation on both sides of 1/2
         batch = sample_poissonized(_config(1, n, 300, 41, MODE_POISSONIZED))
-        a = _stream_exponentials(41, 300) / n
+        a = _block_exponentials(41, 300) / n
         with np.errstate(divide="ignore"):
             low, high = np.log(-np.expm1(-a)), np.log1p(-np.exp(-a))
         want = -n * np.where(a > math.log(2.0), high, low)
@@ -228,6 +240,28 @@ class TestDeltaInversion:
         full = sample_poissonized(_config(20, 22026, 300, 47, MODE_POISSONIZED))
         head = sample_poissonized(_config(20, 22026, 7, 47, MODE_POISSONIZED))
         assert np.array_equal(full.delta_values[:7], head.delta_values)
+        longer = sample_poissonized(_config(20, 22026, 600, 47, MODE_POISSONIZED))
+        assert np.array_equal(longer.delta_values[:300], full.delta_values)
+
+    @pytest.mark.parametrize("reps", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_blocks_equal_numpy_streams(self, reps, seed):
+        batch = sample_poissonized(_config(3, 100, reps, seed, MODE_POISSONIZED))
+        want = delta_from_exponential(3, 100, _block_exponentials(seed, reps))
+        assert batch.delta_values.shape == (reps,)
+        assert np.array_equal(batch.delta_values, want)
+
+    def test_memory_per_replication_is_bounded(self):
+        # one float64 result per replication, plus one block's temporaries
+        reps = 200_000
+        sample_poissonized(_config(3, 100, 300, 59, MODE_POISSONIZED))  # warm caches
+        tracemalloc.start()
+        try:
+            sample_poissonized(_config(3, 100, reps, 59, MODE_POISSONIZED))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / reps < 24.0, f"{peak / reps:.1f} B per replication"
 
     def test_huge_n_is_constant_time(self):
         # n gammas per replication would take 8 TB here
@@ -286,6 +320,24 @@ class TestDeterminism:
                 for x, y in pairs:
                     assert (x is None and y is None) or np.array_equal(x, y)
 
+    def test_block_writes_survive_thread_switches(self, monkeypatch):
+        # more workers than cores fill one shared array, switching threads
+        # every microsecond; a lost or misplaced block would break equality
+        cfg = _config(3, 6, 20 * 256 + 7, 79, MODE_POISSONIZED)
+        monkeypatch.setenv("COUPON_DELAY_THREADS", "1")
+        want = sample_poissonized(cfg).delta_values
+        monkeypatch.setenv("COUPON_DELAY_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.perf_counter()
+            got = sample_poissonized(cfg).delta_values
+            elapsed = time.perf_counter() - t0
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+        assert elapsed < 30.0
+
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("COUPON_DELAY_THREADS", "many")
         with pytest.raises(ValueError):
@@ -312,7 +364,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setenv("COUPON_DELAY_THREADS", "100000")
-        draw = lambda rng: rng.standard_exponential()
+        draw = lambda rng, rep: rng.standard_exponential()
         got = simulate._run_reps(draw, 5, 200)
         assert sizes == [64]
         monkeypatch.setenv("COUPON_DELAY_THREADS", "1")
@@ -436,3 +488,15 @@ class TestCsvExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "d"
         assert len(lines) == 4
+
+    def test_rows_written_in_blocks(self, tmp_path, monkeypatch):
+        # the file does not depend on how many rows are formatted per write
+        batch = sample_coupled(_config(2, 3, 10, 37, MODE_COUPLED))
+        want = "d,delta\n" + "".join(
+            f"{d},{delta:.10g}\n" for d, delta in zip(batch.d_values, batch.delta_values)
+        )
+        for rows in (1, 3, 10, 4096):
+            monkeypatch.setattr(simulate, "_CSV_ROWS", rows)
+            path = tmp_path / f"rows{rows}.csv"
+            write_samples_csv(batch, path)
+            assert path.read_bytes() == want.encode()

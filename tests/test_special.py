@@ -170,6 +170,8 @@ class TestErlangLogSf:
                 )
         order = rng.permutation(len(xs))
         assert np.array_equal(erlang_log_sf(m, xs[order]), scalars[order])
+        for hit, _ in special._branches(m, xs):  # one branch: no gather
+            assert np.array_equal(erlang_log_sf(m, xs[hit]), scalars[hit])
 
     @settings(max_examples=60, deadline=None)
     @given(
