@@ -1,19 +1,21 @@
 """Monte Carlo sampling of the delay and goodness-of-fit statistics.
 
-Every draw comes from a counter-based Philox stream keyed by
-SeedSequence(seed, spawn_key=(k, 0)).  In the D modes stream k is
-replication k's.  In poissonized mode stream b is block b's, the
-replications b * 256 .. b * 256 + 255: replication i is the (i mod 256)-th
-standard exponential of stream i // 256.  So a batch is a pure function of
-its configuration, its prefixes do not depend on ``reps``, and it is
-bit-identical however the streams are chunked across workers.  The keys are
-derived in bulk and each worker resets one generator per stream.  The env
-var COUPON_DELAY_THREADS sets the worker count (default 1, at most 64).
+Every mode splits its replications into blocks of 256: replication i lies in
+block b = i // 256.  Block b draws from two counter-based Philox streams,
+NumPy's Generator(Philox(SeedSequence(seed, spawn_key=(b, 0)))) and the same
+with spawn_key=(b, 1).  In poissonized mode replication i is the
+(i mod 256)-th standard exponential of stream (b, 0).  In the D modes the
+replications of a block, in order, each take their n gammas from stream
+(b, 0) and their one Poisson overshoot from stream (b, 1).  So a batch is a
+pure function of its configuration, its prefixes do not depend on ``reps``,
+and it is bit-identical however the blocks are split across workers.  The
+env var COUPON_DELAY_THREADS sets the worker count (default 1, at most 64);
+workers split on whole blocks, so a batch of at most 256 replications runs
+on one worker.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -89,84 +91,39 @@ def _worker_count() -> int:
         raise ValueError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
-# NumPy's frozen SeedSequence hash (O'Neill's seed_seq): the k-th hashmix
-# of the pool uses _HASH_A[k] and _HASH_A[k + 1], output word k _HASH_B[k..k+1].
-_M32 = 0xFFFFFFFF
-_HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32 for k in range(29)]
-_HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 2**32) & _M32 for k in range(5)]
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_KEY_BLOCK = 4096  # temporaries stay below glibc's 128 KiB mmap threshold
-# Replications per poissonized stream.  It fixes which draw each replication
-# takes, so changing it changes every poissonized sample; the inverse's own
-# block, special._INVERSE_BLOCK, is a memory setting and may change freely.
+# Replications per block.  It fixes which draws each replication takes, so
+# changing it changes every sample in every mode; the inverse's own block,
+# special._INVERSE_BLOCK, is a memory setting and may change freely.
 _STREAM_BLOCK = 256
 _CSV_ROWS = 4096  # rows formatted per write: export memory is bounded
 
 
-def _hashmix(value, consts, k):
-    """SeedSequence's k-th hashmix, on a Python int or a uint32 array."""
-    value = (value ^ consts[k]) * consts[k + 1] & _M32
-    return value ^ value >> 16
+def _stream(seed: int, block: int, kind: int) -> np.random.Generator:
+    """Stream ``kind`` of a block: 0 for its gammas or exponentials, 1 for
+    its Poisson overshoots."""
+    seq = np.random.SeedSequence(seed, spawn_key=(block, kind))
+    return np.random.Generator(np.random.Philox(seq))
 
 
-def _mix(x, y):
-    """SeedSequence's mix; Python ints are masked before they meet an array."""
-    value = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
-    return value ^ value >> 16
-
-
-def _stream_keys(seed: int, start: int, count: int) -> np.ndarray:
-    """The (count, 2) uint64 Philox keys of replications start..start+count-1:
-    row i is SeedSequence(entropy=seed, spawn_key=(start + i, 0))
-    .generate_state(2, np.uint64), bit for bit.  The entropy words are the
-    seed's two, two zeros, then the spawn key's: rep's low word, its high
-    word if nonzero, and 0.  Only the spawn key's words are per replication."""
-    words = [int(seed) & _M32, int(seed) >> 32, 0, 0]
-    pool = [_hashmix(word, _HASH_A, k) for k, word in enumerate(words)]
-    for k, (src, dst) in enumerate(itertools.permutations(range(4), 2), start=4):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, k))
-    reps = np.arange(start, start + count, dtype=np.uint64)
-    lo, hi = (reps & _M32).astype(np.uint32), (reps >> 32).astype(np.uint32)
-    for k, word in ((16, lo), (20, hi)):  # below 2**32, hi is the key's 0 itself
-        pool = [_mix(p, _hashmix(word, _HASH_A, k + i)) for i, p in enumerate(pool)]
-    if start + count > 2**32:  # the key's 0 follows a nonzero high word
-        wide = reps >= 2**32
-        pool = [np.where(wide, _mix(p, _hashmix(0, _HASH_A, 24 + i)), p)
-                for i, p in enumerate(pool)]
-    out = [_hashmix(p, _HASH_B, i).astype(np.uint64) for i, p in enumerate(pool)]
-    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
-
-
-def _run_reps(worker, seed: int, count: int) -> list:
-    """Evaluate worker(rng, k) for stream k = 0..count-1, gathered in order,
-    with rng reset to the start of stream k before each call: one Generator
-    per chunk, its Philox given stream k's key, counter 0 and an empty
-    buffer through the public state setter.  Workers split the streams into
-    contiguous chunks, so a stream is never shared by two of them."""
+def _run_reps(block, reps: int) -> None:
+    """Call block(b) for every block b of _STREAM_BLOCK replications.
+    Workers take contiguous chunks of whole blocks, so a block, and with it
+    a batch of at most _STREAM_BLOCK replications, runs on one worker."""
+    blocks = -(-reps // _STREAM_BLOCK)
+    threads = min(_worker_count(), blocks)
 
     def chunk(first, last):
-        rng = np.random.Generator(np.random.Philox(0))
-        state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
-                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        out = []
-        for a in range(first, last, _KEY_BLOCK):
-            keys = _stream_keys(seed, a, min(_KEY_BLOCK, last - a)).tolist()
-            for k, key in enumerate(keys, start=a):
-                state["state"]["key"] = key
-                rng.bit_generator.state = state
-                out.append(worker(rng, k))
-        return out
+        for b in range(first, last):
+            block(b)
 
-    threads = min(_worker_count(), count)
     if threads == 1:
-        return chunk(0, count)
+        return chunk(0, blocks)
     # Imported here: single-threaded runs, the default, never need it.
     from concurrent.futures import ThreadPoolExecutor
 
-    bounds = np.linspace(0, count, threads + 1, dtype=int).tolist()
+    bounds = np.linspace(0, blocks, threads + 1, dtype=int).tolist()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(chunk, bounds[:-1], bounds[1:]))
-    return [item for part in parts for item in part]
+        list(pool.map(chunk, bounds[:-1], bounds[1:]))  # re-raises a worker's error
 
 
 def _sample(config: SimConfig, mode: str) -> SampleBatch:
@@ -177,48 +134,52 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
     Markov property stream j adds Poisson(x - G_j) further arrivals by time
     x, independent of every G, so D = m n + Poisson(sum_j (x - G_j)) and the
     pair (D, Delta) has the exact coupled law, at O(n) time and memory per
-    replication.  Delta alone needs no G_j: poissonized mode draws one
-    standard exponential per replication, a block of _STREAM_BLOCK from
-    each stream, and inverts P{Delta <= x} = F_m(x/n)^n at them, in O(1).
+    replication.  Each replication of block b takes its n gammas from stream
+    (b, 0) and then its overshoot from stream (b, 1).  Delta alone needs no
+    G_j: poissonized mode draws one standard exponential per replication, a
+    block of _STREAM_BLOCK from each stream (b, 0), and inverts
+    P{Delta <= x} = F_m(x/n)^n at them, in O(1).  Every column is allocated
+    before the first draw.
     """
     if config.mode != mode:
         raise ValueError(f"sample_{mode} requires mode={mode!r}")
-    m, n, reps = config.ps.m, config.ps.n, config.reps
-    if mode == MODE_POISSONIZED:
-        delta = np.empty(reps)
+    m, n, reps, seed = config.ps.m, config.ps.n, config.reps, config.seed
+    try:
+        d = np.empty(reps, dtype=np.int64) if mode != MODE_POISSONIZED else None
+        delta = np.empty(reps, dtype=np.float64) if mode != MODE_DISCRETE else None
+    except MemoryError:
+        raise ValueError(f"--reps {reps}: the batch's results do not fit in memory") from None
 
-        def block(rng: np.random.Generator, b: int) -> None:
-            first = b * _STREAM_BLOCK
-            e = rng.standard_exponential(min(_STREAM_BLOCK, reps - first))
-            delta[first : first + len(e)] = delta_from_exponential(m, n, e)
+    def block(b: int) -> None:
+        first = b * _STREAM_BLOCK
+        last = min(first + _STREAM_BLOCK, reps)
+        if d is None:
+            e = _stream(seed, b, 0).standard_exponential(last - first)
+            delta[first:last] = delta_from_exponential(m, n, e)
+            return
+        gammas, overshoots = _stream(seed, b, 0), _stream(seed, b, 1)
+        for i in range(first, last):
+            try:
+                g = gammas.standard_gamma(m, size=n)
+            except MemoryError:
+                raise ValueError(
+                    f"n = {n} completion times per replication do not fit in memory;"
+                    " --mode poissonized costs O(1) per replication"
+                ) from None
+            # g.max() and (x - g).sum() without NumPy's Python-level wrappers
+            x = np.maximum.reduce(g)
+            d[i] = m * n + int(overshoots.poisson(np.add.reduce(x - g)))
+            if delta is not None:
+                delta[i] = n * x
 
-        _run_reps(block, config.seed, -(-reps // _STREAM_BLOCK))
-        return SampleBatch(config=config, delta_values=delta)
-
-    keep_delta = mode == MODE_COUPLED
-
-    def worker(rng: np.random.Generator, rep: int) -> tuple[int, float]:
-        try:
-            g = rng.standard_gamma(m, size=n)
-        except MemoryError:
-            raise ValueError(
-                f"n = {n} completion times per replication do not fit in memory;"
-                " --mode poissonized costs O(1) per replication"
-            ) from None
-        # g.max() and (x - g).sum() without NumPy's Python-level wrappers
-        x = np.maximum.reduce(g)
-        return m * n + int(rng.poisson(np.add.reduce(x - g))), float(n * x)
-
-    d, delta = zip(*_run_reps(worker, config.seed, reps))
-    return SampleBatch(
-        config=config,
-        d_values=np.array(d, dtype=np.int64),
-        delta_values=np.array(delta, dtype=np.float64) if keep_delta else None,
-    )
+    _run_reps(block, reps)
+    return SampleBatch(config=config, d_values=d, delta_values=delta)
 
 
 def sample_discrete(config: SimConfig) -> SampleBatch:
-    """Replicated draws of the trial count D; D >= m*n surely."""
+    """Replicated draws of the trial count D; D >= m*n surely.  Each
+    replication costs O(n) time and memory for its n gammas, and the batch
+    keeps 8 bytes per replication."""
     return _sample(config, MODE_DISCRETE)
 
 
@@ -227,15 +188,14 @@ def sample_poissonized(config: SimConfig) -> SampleBatch:
     completion times, i.e. the largest of n Erlang(m, rate 1/n) variables.
 
     Its law is P{Delta <= x} = F_m(x/n)^n, so replication i takes one
-    standard exponential E, the (i mod 256)-th of block i // 256's stream,
-    and returns the Delta with F_m(Delta/n)^n = e^-E, exact to the accuracy
-    of ``erlang_log_sf``.  Each block of 256 replications costs one
-    generator reset, one draw call and one ``erlang_log_sf_inverse`` call,
-    whose kernel calls that function's docstring states, so a replication
-    costs O(1) time at every (m, n), n = 1e12 included, and memory is the
-    8-byte result per replication plus one block's temporaries.  The values
-    differ from the Delta column of ``sample_coupled`` at the same seed; only
-    the laws agree.
+    standard exponential E, the (i mod 256)-th of stream (i // 256, 0), and
+    returns the Delta with F_m(Delta/n)^n = e^-E, exact to the accuracy of
+    ``erlang_log_sf``.  Each block of 256 replications costs one generator,
+    one draw call and one ``erlang_log_sf_inverse`` call, whose kernel calls
+    that function's docstring states, so a replication costs O(1) time at
+    every (m, n), n = 1e12 included, and memory is the 8-byte result per
+    replication plus one block's temporaries.  The values differ from the
+    Delta column of ``sample_coupled`` at the same seed; only the laws agree.
     """
     return _sample(config, MODE_POISSONIZED)
 
@@ -244,7 +204,9 @@ def sample_coupled(config: SimConfig) -> SampleBatch:
     """Replicated coupled pairs (D, Delta) from one draw of the n gamma
     completion times: Delta is n times their maximum, and D adds the
     Poisson overshoot of every stream up to that maximum.  Given D, Delta
-    is Gamma(D, 1), the sum of D unit exponentials independent of D."""
+    is Gamma(D, 1), the sum of D unit exponentials independent of D.  The
+    batch keeps 16 bytes per replication; D is the same as
+    ``sample_discrete``'s at the same seed."""
     return _sample(config, MODE_COUPLED)
 
 

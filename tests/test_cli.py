@@ -268,6 +268,19 @@ class TestSimulateCommand:
         assert out == ""
         assert err.startswith("error:") and "--mode poissonized" in err
 
+    @pytest.mark.parametrize("mode", ["discrete", "poissonized", "coupled"])
+    def test_unallocatable_reps_is_usage_error(self, capsys, mode):
+        # 8e15 bytes of results exceed a 47-bit address space: the allocation
+        # fails at once and touches no memory
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--m", "1", "--n", "2", "--reps", str(10**15),
+            "--seed", "0", "--mode", mode,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--reps" in err
+
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--m", "1", "--n", "2", "--reps", "3", "--mode", "discrete"])

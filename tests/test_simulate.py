@@ -132,10 +132,10 @@ class TestPoissonizedSampler:
         assert abs(x.mean() - mean_delay(ProblemSize(m, n)).value) <= 5 * se
 
 
-def _stream(seed, rep):
-    """Replication rep's generator, built by NumPy itself: the oracle for the
-    sampler's bulk-keyed streams."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(rep, 0))
+def _stream(seed, block, kind=0):
+    """Stream (block, kind) built by NumPy itself: the oracle for the
+    sampler's streams."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(block, kind))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -146,54 +146,56 @@ def _block_exponentials(seed, reps):
     return np.concatenate([_stream(seed, b).standard_exponential(256) for b in blocks])[:reps]
 
 
+def _block_pairs(seed, m, n, reps):
+    """The (D, Delta) of a D-mode batch, one replication at a time: each
+    replication of block b draws its n gammas from stream (b, 0), then its
+    overshoot from stream (b, 1)."""
+    d, delta = [], []
+    for b in range(-(-reps // 256)):
+        gammas, overshoots = _stream(seed, b, 0), _stream(seed, b, 1)
+        for _ in range(min(256, reps - 256 * b)):
+            g = gammas.standard_gamma(m, size=n)
+            d.append(m * n + overshoots.poisson((g.max() - g).sum()))
+            delta.append(n * g.max())
+    return np.array(d), np.array(delta)
+
+
 class TestStreams:
-    _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + np.random.default_rng(
-        2024
-    ).integers(0, 2**64, size=20, dtype=np.uint64).tolist()
+    @pytest.mark.parametrize("reps", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_d_modes_equal_numpy_streams(self, reps, seed):
+        want_d, want_delta = _block_pairs(seed, 3, 10, reps)
+        discrete = sample_discrete(_config(3, 10, reps, seed, MODE_DISCRETE))
+        coupled = sample_coupled(_config(3, 10, reps, seed, MODE_COUPLED))
+        assert discrete.d_values.dtype == coupled.d_values.dtype == np.int64
+        assert discrete.d_values.shape == coupled.delta_values.shape == (reps,)
+        assert np.array_equal(discrete.d_values, want_d)
+        assert np.array_equal(coupled.d_values, want_d)
+        assert np.array_equal(coupled.delta_values, want_delta)
 
-    @pytest.mark.parametrize("seed", _SEEDS)
-    def test_keys_equal_numpy_seed_sequence(self, seed):
-        for rep in [0, 1, 4095, 4096, 4097, 2**32 - 1, 2**32, 2**32 + 5]:
-            want = np.random.SeedSequence(entropy=seed, spawn_key=(rep, 0))
-            got = simulate._stream_keys(seed, rep, 1)
-            assert got.dtype == np.uint64 and got.shape == (1, 2)
-            assert np.array_equal(got[0], want.generate_state(2, np.uint64))
+    @pytest.mark.parametrize("mode", [MODE_DISCRETE, MODE_COUPLED])
+    def test_d_replication_does_not_depend_on_the_batch(self, mode):
+        full = _SAMPLERS[mode](_config(3, 6, 300, 47, mode))
+        head = _SAMPLERS[mode](_config(3, 6, 7, 47, mode))
+        longer = _SAMPLERS[mode](_config(3, 6, 600, 47, mode))
+        for short, long in [(head, full), (full, longer)]:
+            k = short.config.reps
+            assert np.array_equal(long.d_values[:k], short.d_values)
+            if mode == MODE_COUPLED:
+                assert np.array_equal(long.delta_values[:k], short.delta_values)
 
-    def test_keys_of_a_range_across_two_to_the_32(self):
-        start, count = 2**32 - 3, 6  # the high word appears mid-range
-        keys = simulate._stream_keys(77, start, count)
-        for i in range(count):
-            want = np.random.SeedSequence(entropy=77, spawn_key=(start + i, 0))
-            assert np.array_equal(keys[i], want.generate_state(2, np.uint64))
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize(
-        "draw",
-        [
-            lambda rng: rng.standard_exponential(8),
-            lambda rng: rng.standard_gamma(3.5, size=8),
-            lambda rng: rng.poisson(2.5, size=8),
-            lambda rng: rng.integers(0, 2**32, size=8, dtype=np.uint32),
-        ],
-    )
-    def test_reset_generator_matches_a_fresh_one(self, monkeypatch, threads, draw):
-        def worker(rng, rep):
-            values = draw(rng)
-            rng.integers(0, 7, dtype=np.uint32)  # leaves half a word buffered
-            return rep, values
-
-        monkeypatch.setenv("COUPON_DELAY_THREADS", threads)
-        got = simulate._run_reps(worker, 2**64 - 1, 5)
-        for rep, (index, values) in enumerate(got):
-            assert index == rep
-            assert np.array_equal(values, draw(_stream(2**64 - 1, rep)))
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_stream_index_across_key_blocks(self, monkeypatch, threads):
-        # a chunk of more than 4096 streams derives its keys in two passes
-        monkeypatch.setenv("COUPON_DELAY_THREADS", threads)
-        got = simulate._run_reps(lambda rng, k: k, 3, 3 * 4096 + 5)
-        assert got == list(range(3 * 4096 + 5))
+    @pytest.mark.parametrize("m,n,rows", [(2, 8, 256), (3, 10, 256), (2, 10**4, 30)])
+    def test_block_draws_vectorize(self, m, n, rows):
+        # one (rows, n) gamma draw and one Poisson draw at an array of means
+        # take the same values as the sampler's per-replication calls, so a
+        # block may be drawn at once without changing any sample
+        wide = _stream(5, 0).standard_gamma(m, size=(rows, n))
+        gammas = _stream(5, 0)
+        assert np.array_equal(wide, [gammas.standard_gamma(m, size=n) for _ in range(rows)])
+        lam = (wide.max(axis=1, keepdims=True) - wide).sum(axis=1)
+        overshoots = _stream(5, 0, 1)
+        want = [overshoots.poisson(x) for x in lam]
+        assert np.array_equal(_stream(5, 0, 1).poisson(lam), want)
 
 
 class TestDeltaInversion:
@@ -299,6 +301,19 @@ class TestCoupledSampler:
         u = (d - d.mean()) ** 2 - (delta - delta.mean()) ** 2 + delta
         assert abs(u.mean()) <= 3 * u.std(ddof=1) / math.sqrt(reps)
 
+    def test_memory_per_replication_is_bounded(self):
+        # an int64 D and a float64 Delta per replication, plus one block's
+        # temporaries
+        reps = 200_000
+        sample_coupled(_config(3, 6, 300, 61, MODE_COUPLED))  # warm caches
+        tracemalloc.start()
+        try:
+            sample_coupled(_config(3, 6, reps, 61, MODE_COUPLED))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / reps < 24.0, f"{peak / reps:.1f} B per replication"
+
 
 class TestDeterminism:
     def test_identical_config_identical_batch(self):
@@ -309,7 +324,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("mode", [MODE_DISCRETE, MODE_POISSONIZED, MODE_COUPLED])
     def test_thread_count_does_not_change_results(self, monkeypatch, mode):
-        for reps in [257, 4097]:  # 4097 reps take a second block of keys
+        for reps in [257, 4097]:  # 2 and 17 blocks, the last one partial
             cfg = _config(3, 6, reps, 77, mode)
             monkeypatch.setenv("COUPON_DELAY_THREADS", "1")
             a = _SAMPLERS[mode](cfg)
@@ -321,22 +336,24 @@ class TestDeterminism:
                     assert (x is None and y is None) or np.array_equal(x, y)
 
     def test_block_writes_survive_thread_switches(self, monkeypatch):
-        # more workers than cores fill one shared array, switching threads
-        # every microsecond; a lost or misplaced block would break equality
-        cfg = _config(3, 6, 20 * 256 + 7, 79, MODE_POISSONIZED)
-        monkeypatch.setenv("COUPON_DELAY_THREADS", "1")
-        want = sample_poissonized(cfg).delta_values
-        monkeypatch.setenv("COUPON_DELAY_THREADS", "8")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            t0 = time.perf_counter()
-            got = sample_poissonized(cfg).delta_values
-            elapsed = time.perf_counter() - t0
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(got, want)
-        assert elapsed < 30.0
+        # more workers than cores fill shared arrays, switching threads every
+        # microsecond; a lost or misplaced block would break equality
+        for mode in [MODE_DISCRETE, MODE_POISSONIZED, MODE_COUPLED]:
+            cfg = _config(3, 6, 20 * 256 + 7, 79, mode)
+            monkeypatch.setenv("COUPON_DELAY_THREADS", "1")
+            want = _SAMPLERS[mode](cfg)
+            monkeypatch.setenv("COUPON_DELAY_THREADS", "8")
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                t0 = time.perf_counter()
+                got = _SAMPLERS[mode](cfg)
+                elapsed = time.perf_counter() - t0
+            finally:
+                sys.setswitchinterval(interval)
+            for x, y in [(want.d_values, got.d_values), (want.delta_values, got.delta_values)]:
+                assert (x is None and y is None) or np.array_equal(x, y)
+            assert elapsed < 30.0
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("COUPON_DELAY_THREADS", "many")
@@ -364,11 +381,10 @@ class TestDeterminism:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setenv("COUPON_DELAY_THREADS", "100000")
-        draw = lambda rng, rep: rng.standard_exponential()
-        got = simulate._run_reps(draw, 5, 200)
+        got = []
+        simulate._run_reps(got.append, 200 * 256)
         assert sizes == [64]
-        monkeypatch.setenv("COUPON_DELAY_THREADS", "1")
-        assert got == simulate._run_reps(draw, 5, 200)
+        assert got == list(range(200))
 
 
 class TestKS:
