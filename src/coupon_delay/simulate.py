@@ -4,14 +4,15 @@ Every mode splits its replications into blocks of 256: replication i lies in
 block b = i // 256.  Block b draws from two counter-based Philox streams,
 NumPy's Generator(Philox(SeedSequence(seed, spawn_key=(b, 0)))) and the same
 with spawn_key=(b, 1).  In poissonized mode replication i is the
-(i mod 256)-th standard exponential of stream (b, 0).  In the D modes the
-replications of a block, in order, each take their n gammas from stream
-(b, 0) and their one Poisson overshoot from stream (b, 1).  So a batch is a
-pure function of its configuration, its prefixes do not depend on ``reps``,
-and it is bit-identical however the blocks are split across workers.  The
-env var COUPON_DELAY_THREADS sets the worker count (default 1, at most 64);
-workers split on whole blocks, so a batch of at most 256 replications runs
-on one worker.
+(i mod 256)-th standard exponential of stream (b, 0), drawn straight into
+the result, and the exponentials of up to 16 blocks, 4096 replications, are
+inverted in one call.  In the D modes the replications of a block, in order,
+each take their n gammas from stream (b, 0) and their one Poisson overshoot
+from stream (b, 1).  So a batch is a pure function of its configuration, its
+prefixes do not depend on ``reps``, and it is bit-identical however the
+blocks are split across workers.  The env var COUPON_DELAY_THREADS sets the
+worker count (default 1, at most 64); each worker takes one contiguous range
+of whole blocks, so a batch of at most 256 replications runs on one worker.
 """
 
 from __future__ import annotations
@@ -95,6 +96,9 @@ def _worker_count() -> int:
 # changing it changes every sample in every mode; the inverse's own block,
 # special._INVERSE_BLOCK, is a memory setting and may change freely.
 _STREAM_BLOCK = 256
+# Blocks per delta_from_exponential call in poissonized mode: 4096 levels,
+# special._INVERSE_BLOCK, which it inverts in one erlang_log_sf_inverse call.
+_INVERSE_RUN = 16
 _CSV_ROWS = 4096  # rows formatted per write: export memory is bounded
 
 
@@ -105,25 +109,21 @@ def _stream(seed: int, block: int, kind: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _run_reps(block, reps: int) -> None:
-    """Call block(b) for every block b of _STREAM_BLOCK replications.
-    Workers take contiguous chunks of whole blocks, so a block, and with it
-    a batch of at most _STREAM_BLOCK replications, runs on one worker."""
-    blocks = -(-reps // _STREAM_BLOCK)
-    threads = min(_worker_count(), blocks)
-
-    def chunk(first, last):
-        for b in range(first, last):
-            block(b)
-
+def _run_reps(blocks, reps: int) -> None:
+    """Call blocks(first, last) once per worker, on contiguous ranges of the
+    blocks of _STREAM_BLOCK replications that together cover each block
+    once, in order.  So a block, and with it a batch of at most
+    _STREAM_BLOCK replications, runs on one worker."""
+    count = -(-reps // _STREAM_BLOCK)
+    threads = min(_worker_count(), count)
     if threads == 1:
-        return chunk(0, blocks)
+        return blocks(0, count)
     # Imported here: single-threaded runs, the default, never need it.
     from concurrent.futures import ThreadPoolExecutor
 
-    bounds = np.linspace(0, blocks, threads + 1, dtype=int).tolist()
+    bounds = np.linspace(0, count, threads + 1, dtype=int).tolist()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(chunk, bounds[:-1], bounds[1:]))  # re-raises a worker's error
+        list(pool.map(blocks, bounds[:-1], bounds[1:]))  # re-raises a worker's error
 
 
 def _sample(config: SimConfig, mode: str) -> SampleBatch:
@@ -137,9 +137,10 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
     replication.  Each replication of block b takes its n gammas from stream
     (b, 0) and then its overshoot from stream (b, 1).  Delta alone needs no
     G_j: poissonized mode draws one standard exponential per replication, a
-    block of _STREAM_BLOCK from each stream (b, 0), and inverts
-    P{Delta <= x} = F_m(x/n)^n at them, in O(1).  Every column is allocated
-    before the first draw.
+    block of _STREAM_BLOCK from each stream (b, 0), straight into the Delta
+    column, and inverts P{Delta <= x} = F_m(x/n)^n at them in place, in
+    O(1), _INVERSE_RUN blocks per call.  Every column is allocated before
+    the first draw.
     """
     if config.mode != mode:
         raise ValueError(f"sample_{mode} requires mode={mode!r}")
@@ -150,29 +151,36 @@ def _sample(config: SimConfig, mode: str) -> SampleBatch:
     except MemoryError:
         raise ValueError(f"--reps {reps}: the batch's results do not fit in memory") from None
 
-    def block(b: int) -> None:
-        first = b * _STREAM_BLOCK
-        last = min(first + _STREAM_BLOCK, reps)
-        if d is None:
-            e = _stream(seed, b, 0).standard_exponential(last - first)
-            delta[first:last] = delta_from_exponential(m, n, e)
-            return
-        gammas, overshoots = _stream(seed, b, 0), _stream(seed, b, 1)
-        for i in range(first, last):
-            try:
-                g = gammas.standard_gamma(m, size=n)
-            except MemoryError:
-                raise ValueError(
-                    f"n = {n} completion times per replication do not fit in memory;"
-                    " --mode poissonized costs O(1) per replication"
-                ) from None
-            # g.max() and (x - g).sum() without NumPy's Python-level wrappers
-            x = np.maximum.reduce(g)
-            d[i] = m * n + int(overshoots.poisson(np.add.reduce(x - g)))
-            if delta is not None:
-                delta[i] = n * x
+    def span(first: int, last: int) -> slice:
+        """The replications of blocks first to last - 1."""
+        return slice(first * _STREAM_BLOCK, min(last * _STREAM_BLOCK, reps))
 
-    _run_reps(block, reps)
+    def exponentials(first: int, last: int) -> None:
+        for run in range(first, last, _INVERSE_RUN):
+            stop = min(run + _INVERSE_RUN, last)
+            for b in range(run, stop):
+                _stream(seed, b, 0).standard_exponential(out=delta[span(b, b + 1)])
+            delta[span(run, stop)] = delta_from_exponential(m, n, delta[span(run, stop)])
+
+    def completions(first: int, last: int) -> None:
+        for b in range(first, last):
+            gammas, overshoots = _stream(seed, b, 0), _stream(seed, b, 1)
+            rows = span(b, b + 1)
+            for i in range(rows.start, rows.stop):
+                try:
+                    g = gammas.standard_gamma(m, size=n)
+                except MemoryError:
+                    raise ValueError(
+                        f"n = {n} completion times per replication do not fit in memory;"
+                        " --mode poissonized costs O(1) per replication"
+                    ) from None
+                # g.max() and (x - g).sum() without NumPy's Python-level wrappers
+                x = np.maximum.reduce(g)
+                d[i] = m * n + int(overshoots.poisson(np.add.reduce(x - g)))
+                if delta is not None:
+                    delta[i] = n * x
+
+    _run_reps(exponentials if d is None else completions, reps)
     return SampleBatch(config=config, d_values=d, delta_values=delta)
 
 
@@ -190,12 +198,14 @@ def sample_poissonized(config: SimConfig) -> SampleBatch:
     Its law is P{Delta <= x} = F_m(x/n)^n, so replication i takes one
     standard exponential E, the (i mod 256)-th of stream (i // 256, 0), and
     returns the Delta with F_m(Delta/n)^n = e^-E, exact to the accuracy of
-    ``erlang_log_sf``.  Each block of 256 replications costs one generator,
-    one draw call and one ``erlang_log_sf_inverse`` call, whose kernel calls
-    that function's docstring states, so a replication costs O(1) time at
-    every (m, n), n = 1e12 included, and memory is the 8-byte result per
-    replication plus one block's temporaries.  The values differ from the
-    Delta column of ``sample_coupled`` at the same seed; only the laws agree.
+    ``erlang_log_sf``.  Each block of 256 replications costs one generator
+    and one draw call, and each run of 16 blocks, 4096 replications, one
+    ``erlang_log_sf_inverse`` call, whose kernel calls that function's
+    docstring states, so a replication costs O(1) time at every (m, n),
+    n = 1e12 included, and memory is the 8-byte result per replication plus
+    one inverse call's temporaries, each below 128 KiB.  The values differ
+    from the Delta column of ``sample_coupled`` at the same seed; only the
+    laws agree.
     """
     return _sample(config, MODE_POISSONIZED)
 
@@ -253,18 +263,27 @@ def empirical_moments(values, r: int = 1) -> tuple[float, float]:
 
 def write_samples_csv(batch: SampleBatch, path) -> None:
     """Raw sample export: header row, one value (or d,delta pair) per line,
-    LF line endings, written _CSV_ROWS rows at a time."""
-    columns = {}
-    if batch.d_values is not None:
-        columns["d"] = (batch.d_values, lambda v: map(str, v.astype(np.int64).tolist()))
-    if batch.delta_values is not None:
-        columns["delta"] = (batch.delta_values,
-                            lambda v: [format(x, ".10g") for x in v.tolist()])
+    LF line endings, written _CSV_ROWS rows at a time.  D is written as an
+    integer and Delta to 10 significant digits, format(x, ".10g"); a chunk
+    of rows is one % of the row template, repeated, over its values."""
+    columns = [
+        (name, spec, dtype, values)
+        for name, spec, dtype, values in (
+            ("d", "%d", np.int64, batch.d_values),
+            ("delta", "%.10g", np.float64, batch.delta_values),
+        )
+        if values is not None
+    ]
     if not columns:
         raise ValueError("batch holds no samples")
-    rows = min(len(values) for values, _ in columns.values())
+    row = ",".join(spec for _, spec, _, _ in columns) + "\n"
+    rows = min(len(values) for *_, values in columns)
+    width = len(columns)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
+        fh.write(",".join(name for name, *_ in columns) + "\n")
         for lo in range(0, rows, _CSV_ROWS):
-            cells = [cell(values[lo : lo + _CSV_ROWS]) for values, cell in columns.values()]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            k = min(_CSV_ROWS, rows - lo)
+            cells = [None] * (width * k)  # row by row, column by column
+            for j, (_, _, dtype, values) in enumerate(columns):
+                cells[j::width] = values[lo : lo + k].astype(dtype, copy=False).tolist()
+            fh.write(row * k % tuple(cells))

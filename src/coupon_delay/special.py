@@ -6,13 +6,13 @@ abscissas up to 1e7, far past where a naive evaluation of the partial
 exponential sum S_m(x) e^{-x} under- or overflows, and at large shapes
 even m ln x - x - lgamma(m) loses nine digits to cancellation.
 ``erlang_log_sf`` takes a whole array of abscissas per call (its inverse
-solves a block of 256 levels at once) and is accurate to a relative 1e-12
-against mpmath at every shape; see its docstring.  The inverse takes Halley
-steps on the log of the cumulative hazard from Temme's asymptotic inversion,
-with proved closed-form bounds as the bracket of the levels the start leaves
-undone (its docstring states the kernel calls per block), through
-``halley``, the package's one root-finder, which also solves for the
-critical-regime alpha on Python floats.
+solves up to 4096 levels at once, its series 256 at a time) and is accurate
+to a relative 1e-12 against mpmath at every shape; see its docstring.  The
+inverse takes Halley steps on the log of the cumulative hazard from Temme's
+asymptotic inversion, with proved closed-form bounds as the bracket of the
+levels the start leaves undone (its docstring states the kernel calls per
+block), through ``halley``, the package's one root-finder, which also
+solves for the critical-regime alpha on Python floats.
 """
 
 from __future__ import annotations
@@ -327,19 +327,40 @@ def _ln_gamma_star(m: int) -> float:
     )
 
 
+# Rows of a series' (rows, 63) term table built at once: 256 rows are 126 KiB,
+# so however many elements a call has, no temporary reaches glibc's 128 KiB
+# mmap threshold, whose raising by a freed block would change how fast later,
+# unrelated allocations in the process run.
+_TERM_ROWS = 256
+
+
+def _series_sum(terms, x):
+    """sum_k prod_{i<=k} terms(x)[:, i] at each element of the 1-d array x,
+    its (len(x), k) term table built at most _TERM_ROWS rows at a time.  A
+    row's sum does not depend on the others, so neither does the result."""
+
+    def sums(rows):
+        return np.add.reduce(np.multiply.accumulate(terms(rows), axis=-1), axis=-1)
+
+    if x.size <= _TERM_ROWS:
+        return sums(x)
+    out = np.empty_like(x)
+    for i in range(0, x.size, _TERM_ROWS):
+        out[i : i + _TERM_ROWS] = sums(x[i : i + _TERM_ROWS])
+    return out
+
+
 def _ascending_sum(m: int, x):
     """1 + sum_k prod_{i<=k} x/(m+i), the series of P{Erlang(m) <= x}
     divided by x^m e^-x / m!, over _SERIES_TERMS terms."""
-    terms = np.multiply.accumulate(x[..., None] / (m + _K), axis=-1)
-    return 1.0 + np.add.reduce(terms, axis=-1)
+    return 1.0 + _series_sum(lambda x: x[:, None] / (m + _K), x)
 
 
 def _finite_tail(m: int, x):
     """sum_{1<=j<m} prod_{i<=j} (m-i)/x = S_m(x) (m-1)! / x^(m-1) - 1, over
     its first _SERIES_TERMS - 1 terms, which at m <= _SERIES_TERMS are all
     of them."""
-    terms = np.multiply.accumulate((m - _K[: m - 1]) / x[..., None], axis=-1)
-    return np.add.reduce(terms, axis=-1)
+    return _series_sum(lambda x: (m - _K[: m - 1]) / x[:, None], x)
 
 
 def erlang_log_pdf(m: int, x):
@@ -489,13 +510,15 @@ def below_crossing(m: int, level):
 # Acklam's normal quantile at p <= 1/2, relative error below 1.15e-9 (P. J.
 # Acklam, 2003): numerator and denominator in q = sqrt(-2 ln p) below
 # p = 0.02425, and in r = (p - 1/2)^2, times p - 1/2, above it.  Ascending
-# coefficients, a column per polynomial, so one Horner pass does all four.
+# coefficients, a column per polynomial, so one Horner pass does a pair.
 _ACKLAM_SPLIT = math.log(0.02425)
-_ACKLAM = np.transpose([[
+_ACKLAM_TAIL = np.transpose([[
     (2.938163982698783, 4.374664141464968, -2.549732539343734,
      -2.400758277161838, -0.3223964580411365, -0.007784894002430293),
     (1.0, 3.754408661907416, 2.445134137142996, 0.3224671290700398,
      0.007784695709041462, 0.0),
+]])
+_ACKLAM_CENTRAL = np.transpose([[
     (2.506628277459239, -30.66479806614716, 138.3577518672690,
      -275.9285104469687, 220.9460984245205, -39.69683028665376),
     (1.0, -13.28068155288572, 66.80131188771972, -155.6989798598866,
@@ -507,12 +530,15 @@ def _normal_quantile(log_p):
     """The standard normal quantile at p <= 1/2 from a 1-d array of ln p, to
     Acklam's relative 1.15e-9.  Below p = 0.02425 it reads only
     sqrt(-2 ln p), so ln p may lie far below ln(2.2e-308); past about
-    -1e122 the rational overflows to NaN."""
+    -1e122 the rational overflows to NaN.  Each pair of polynomials is a
+    (2, k) table, 64 KiB at the inverse's 4096 levels, and the central pair
+    is formed only if some p lies above 0.02425."""
     tail = log_p < _ACKLAM_SPLIT
+    q_num, q_den = _polyval(_ACKLAM_TAIL, np.sqrt(-2.0 * log_p))
+    if tail.all():
+        return q_num / q_den
     c = np.exp(log_p) - 0.5
-    q_num, q_den, r_num, r_den = _polyval(
-        _ACKLAM, np.where(tail, np.sqrt(-2.0 * log_p), c * c)
-    )
+    r_num, r_den = _polyval(_ACKLAM_CENTRAL, c * c)
     return np.where(tail, q_num / q_den, c * r_num / r_den)
 
 
@@ -700,11 +726,11 @@ def erlang_log_sf_inverse(m: int, level):
 
 
 # Elements per erlang_log_sf_inverse call in delta_from_exponential.  The
-# kernel's largest temporaries hold 63 terms per element, so 256 elements
-# keep each below 128 KiB: memory stays small however many values are asked
-# for, and no freed block raises glibc's mmap threshold, which would change
-# how fast later, unrelated allocations in the process run.
-_INVERSE_BLOCK = 256
+# inverse is bound by its per-call overhead, so a call should hold many
+# levels; 4096 keep each level-sized array at 32 KiB, and the series kernels
+# bound their own term tables (see _TERM_ROWS), so memory stays small
+# however many values are asked for.
+_INVERSE_BLOCK = 4096
 _LOG_TINY = math.log(_TINY)
 
 
@@ -715,9 +741,10 @@ def delta_from_exponential(m: int, n: int, e: np.ndarray) -> np.ndarray:
     ln sf_m(x) = ln(1 - e^(-E/n)).  That level is floored at the log of the
     smallest normal double, so E = 0, whose Delta is infinite, gives a
     finite one; Delta saturates once E/n falls below 2.2e-308."""
-    level = np.maximum(log1mexp(e / n), _LOG_TINY)
-    blocks = range(0, len(level), _INVERSE_BLOCK)
-    x = [erlang_log_sf_inverse(m, level[i : i + _INVERSE_BLOCK]) for i in blocks]
+    x = []
+    for i in range(0, len(e), _INVERSE_BLOCK):
+        level = np.maximum(log1mexp(e[i : i + _INVERSE_BLOCK] / n), _LOG_TINY)
+        x.append(erlang_log_sf_inverse(m, level))
     return n * np.concatenate(x) if x else np.empty(0)
 
 

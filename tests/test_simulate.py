@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coupon_delay.limit_laws import FixedM, FixedN, StandardGumbel, target_cdf
 from coupon_delay.moments import ProblemSize, exact_dist_small, mean_delay
-from coupon_delay import simulate
+from coupon_delay import simulate, special
 from coupon_delay.simulate import (
     MODE_COUPLED,
     MODE_DISCRETE,
@@ -253,6 +253,38 @@ class TestDeltaInversion:
         assert batch.delta_values.shape == (reps,)
         assert np.array_equal(batch.delta_values, want)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 16, 20, 41, 200, 1000, 10**4, 3 * 10**4, 10**6])
+    @pytest.mark.parametrize("n", [1, 3, 1000, 10**5, 10**12])
+    def test_wide_batch_equals_its_slices(self, m, n):
+        # one 4096-level inverse call gives the bits of sixteen 256-level
+        # ones: 0 and 5e-324 are floored to the same level, and every E
+        # with E/n below 2.2e-308 saturates there too
+        tiny = [0.0, 5e-324, 1e-320, 1e-310 * n, 2e-308 * n, 3e-308 * n]
+        e = np.random.default_rng(m + n).standard_exponential(4096)
+        e[: len(tiny)] = tiny
+        e[len(tiny) : 100] = np.geomspace(1e-300, 60.0, 100 - len(tiny))
+        slices = [delta_from_exponential(m, n, e[i : i + 256]) for i in range(0, 4096, 256)]
+        want = np.concatenate(slices)
+        got = delta_from_exponential(m, n, e)
+        assert np.array_equal(got, want)
+        assert got[0] == got[1] == got[2] == got[3] >= got[4]
+
+    @pytest.mark.parametrize("reps", [1, 1000, 4096, 4097, 10000])
+    def test_one_inverse_call_per_4096_replications(self, monkeypatch, reps):
+        calls = []
+        inverse = special.erlang_log_sf_inverse
+
+        def counted(m, level):
+            calls.append(np.size(level))
+            return inverse(m, level)
+
+        monkeypatch.setattr(special, "erlang_log_sf_inverse", counted)
+        monkeypatch.setenv("COUPON_DELAY_THREADS", "1")
+        batch = sample_poissonized(_config(3, 100, reps, 71, MODE_POISSONIZED))
+        assert len(calls) == -(-reps // 4096) and sum(calls) == reps
+        want = delta_from_exponential(3, 100, _block_exponentials(71, reps))
+        assert np.array_equal(batch.delta_values, want)
+
     def test_memory_per_replication_is_bounded(self):
         # one float64 result per replication, plus one block's temporaries
         reps = 200_000
@@ -381,10 +413,10 @@ class TestDeterminism:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setenv("COUPON_DELAY_THREADS", "100000")
-        got = []
-        simulate._run_reps(got.append, 200 * 256)
-        assert sizes == [64]
-        assert got == list(range(200))
+        ranges = []
+        simulate._run_reps(lambda first, last: ranges.append((first, last)), 200 * 256)
+        assert sizes == [64] and len(ranges) <= 64
+        assert [b for first, last in ranges for b in range(first, last)] == list(range(200))
 
 
 class TestKS:
@@ -504,6 +536,32 @@ class TestCsvExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "d"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("columns", [("d",), ("delta",), ("d", "delta")])
+    def test_bytes_equal_the_per_value_format(self, tmp_path, columns):
+        # D as str(int) and Delta as format(x, ".10g"), over 4097 rows (one
+        # full chunk and a partial one), extreme doubles and D up to 2^62
+        rows = 4097
+        rng = np.random.default_rng(83)
+        d = rng.integers(1, 2**62, rows, endpoint=True)
+        d[:4] = [1, 2**31, 2**53 + 1, 2**62]
+        delta = rng.standard_exponential(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        delta[:7] = [5e-324, 1e-5, 0.1 + 0.2, 1e16, 1.7976931348623157e308, 1.0, 123456.789]
+        values = {"d": d, "delta": delta}
+        batch = SampleBatch(
+            config=_config(1, 2, rows, 0, MODE_COUPLED),
+            **{f"{name}_values": values[name] for name in columns},
+        )
+        cells = {
+            "d": [str(x) for x in d.tolist()],
+            "delta": [format(x, ".10g") for x in delta.tolist()],
+        }
+        want = ",".join(columns) + "\n" + "".join(
+            ",".join(row) + "\n" for row in zip(*(cells[name] for name in columns))
+        )
+        path = tmp_path / "out.csv"
+        write_samples_csv(batch, path)
+        assert path.read_bytes() == want.encode()
 
     def test_rows_written_in_blocks(self, tmp_path, monkeypatch):
         # the file does not depend on how many rows are formatted per write

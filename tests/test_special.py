@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -172,6 +173,23 @@ class TestErlangLogSf:
         assert np.array_equal(erlang_log_sf(m, xs[order]), scalars[order])
         for hit, _ in special._branches(m, xs):  # one branch: no gather
             assert np.array_equal(erlang_log_sf(m, xs[hit]), scalars[hit])
+
+    @pytest.mark.parametrize(
+        "m,low,high", [(2, 1e-3, 1.999), (41, 100.0, 1e4)]  # below / far above the mode
+    )
+    def test_memory_of_a_large_array_is_bounded(self, m, low, high):
+        # The series build their term tables 256 rows at a time: one table
+        # of 63 terms for each of 4096 abscissas would take 2 MB, and each
+        # step of its cumulative product another
+        x = np.linspace(low, high, 4096)
+        erlang_log_sf(m, x[:300])  # warm caches
+        tracemalloc.start()
+        try:
+            erlang_log_sf(m, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"{peak / 1e3:.0f} KB"
 
     @settings(max_examples=60, deadline=None)
     @given(
