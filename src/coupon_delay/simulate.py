@@ -26,6 +26,7 @@ import numpy as np
 
 from .limit_laws import Normalization, Regime, normalization, target_cdf
 from .moments import ProblemSize
+from . import special
 from .special import check_count, delta_from_exponential, is_integer
 
 __all__ = [
@@ -94,11 +95,12 @@ def _worker_count() -> int:
 
 # Replications per block.  It fixes which draws each replication takes, so
 # changing it changes every sample in every mode; the inverse's own block,
-# special._INVERSE_BLOCK, is a memory setting and may change freely.
+# special._INVERSE_BLOCK, changes no sample: it sets how many blocks
+# poissonized mode inverts per call.
 _STREAM_BLOCK = 256
-# Blocks per delta_from_exponential call in poissonized mode: 4096 levels,
-# special._INVERSE_BLOCK, which it inverts in one erlang_log_sf_inverse call.
-_INVERSE_RUN = 16
+# Blocks per delta_from_exponential call in poissonized mode, which inverts
+# them in one erlang_log_sf_inverse call.
+_INVERSE_RUN = special._INVERSE_BLOCK // _STREAM_BLOCK
 _CSV_ROWS = 4096  # rows formatted per write: export memory is bounded
 
 

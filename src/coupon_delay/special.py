@@ -342,8 +342,6 @@ def _series_sum(terms, x):
     def sums(rows):
         return np.add.reduce(np.multiply.accumulate(terms(rows), axis=-1), axis=-1)
 
-    if x.size <= _TERM_ROWS:
-        return sums(x)
     out = np.empty_like(x)
     for i in range(0, x.size, _TERM_ROWS):
         out[i : i + _TERM_ROWS] = sums(x[i : i + _TERM_ROWS])
